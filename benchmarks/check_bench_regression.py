@@ -4,11 +4,21 @@ Compares a freshly measured benchmark JSON against the committed
 baseline and fails (exit 1) on a relative regression beyond
 ``--max-drop`` (default 25%).  The document kind is auto-detected:
 
-``BENCH_tcg.json`` (throughput, higher is better) gates the two
-specialized-engine rates the paper's speedup claims rest on:
+``BENCH_tcg.json`` (throughput, higher is better) gates the TCG tier
+rates the paper's speedup claims rest on:
 
-* ``spec_bare.insn_per_sec``        — bare specialized TCG throughput
-* ``spec_kasan_kcsan.insn_per_sec`` — fully sanitized throughput
+* ``spec_bare.insn_per_sec``        — bare thunk-tier throughput
+* ``spec_kasan_kcsan.insn_per_sec`` — fully sanitized thunk-tier throughput
+* ``jit_bare.insn_per_sec``         — bare shipped (tiered) engine
+* ``jit_kasan_kcsan.insn_per_sec``  — sanitized shipped engine
+
+plus the absolute speedup floors the tiers were accepted with, read
+from the fresh document (a tier that stops paying off is a regression
+even when the baseline recording was slow enough to hide it):
+
+* ``speedup_bare``      — thunk tier vs the reference ``Cpu``, >= 2x
+* ``speedup_sanitized`` — the same, sanitized, >= 1.5x
+* ``jit_speedup_bare``  — shipped engine vs the thunk tier, >= 3x
 
 ``BENCH_fleet.json`` (recognized by its ``workers`` key; wall-clock,
 lower is better) gates the 4-worker sharded-sweep wall time:
@@ -21,14 +31,6 @@ large-RAM firmware:
 
 * ``cases.large.forkserver.execs_per_sec`` — delta-restore throughput
 * ``cases.large.speedup``                  — fork-server vs journal ratio
-
-``BENCH_jit.json`` (recognized by its ``jit_hotness_threshold`` key;
-throughput, higher is better) gates the tiered-JIT rates plus the
-absolute floor the tier was accepted with:
-
-* ``jit_bare.insn_per_sec``        — compiled-trace bare throughput
-* ``jit_kasan_kcsan.insn_per_sec`` — compiled-trace sanitized throughput
-* ``speedup_bare``                 — must stay >= the 3x floor
 
 Improvements and small fluctuations pass; CI runners are noisy, which
 is why the threshold is generous and why only *relative* changes gate.
@@ -50,6 +52,15 @@ import sys
 GATED = (
     ("spec_bare", "insn_per_sec"),
     ("spec_kasan_kcsan", "insn_per_sec"),
+    ("jit_bare", "insn_per_sec"),
+    ("jit_kasan_kcsan", "insn_per_sec"),
+)
+
+#: absolute floors on the fresh document's speedup ratios
+FLOORS = (
+    ("speedup_bare", 2.0),
+    ("speedup_sanitized", 1.5),
+    ("jit_speedup_bare", 3.0),
 )
 
 #: (worker count, metric) pairs gated in fleet documents (lower = better)
@@ -60,15 +71,6 @@ EXECS_GATED = (
     "cases.large.forkserver.execs_per_sec",
     "cases.large.speedup",
 )
-
-#: (json key, metric) pairs gated in jit documents (higher = better)
-JIT_GATED = (
-    ("jit_bare", "insn_per_sec"),
-    ("jit_kasan_kcsan", "insn_per_sec"),
-)
-
-#: absolute floor: the jit tier's reason to exist (ISSUE 9)
-JIT_MIN_SPEEDUP_BARE = 3.0
 
 
 def load(path: str) -> dict:
@@ -145,53 +147,12 @@ def check_execs(baseline: dict, current: dict, max_drop: float) -> list:
     return failures
 
 
-def check_jit(baseline: dict, current: dict, max_drop: float) -> list:
-    """JIT gate: relative throughput drops plus the absolute speedup
-    floor — a tier that stops compiling is a regression even when the
-    baseline recording was slow enough to hide it."""
-    failures = []
-    for key, metric in JIT_GATED:
-        name = f"{key}.{metric}"
-        try:
-            base = float(baseline[key][metric])
-            cur = float(current[key][metric])
-        except (KeyError, TypeError, ValueError):
-            failures.append((name, None, None, None))
-            continue
-        if base <= 0:
-            continue
-        drop = (base - cur) / base
-        status = "FAIL" if drop > max_drop else "ok"
-        row = f"baseline {base:14,.0f}  current {cur:14,.0f}  change {-drop:+7.1%}"
-        print(f"{status:4s} {name:32s} {row}")
-        if drop > max_drop:
-            failures.append((name, base, cur, drop))
-    try:
-        speedup = float(current["speedup_bare"])
-    except (KeyError, TypeError, ValueError):
-        failures.append(("speedup_bare", None, None, None))
-        return failures
-    floor = JIT_MIN_SPEEDUP_BARE
-    status = "FAIL" if speedup < floor else "ok"
-    print(
-        f"{status:4s} {'speedup_bare':32s} floor    {floor:14,.2f}  "
-        f"current {speedup:14,.2f}"
-    )
-    if speedup < floor:
-        failures.append(
-            ("speedup_bare [floor]", floor, speedup, (floor - speedup) / floor)
-        )
-    return failures
-
-
 def check(baseline: dict, current: dict, max_drop: float) -> list:
     """Return [(name, base, cur, drop)] for every gated regression."""
     if "workers" in baseline or "workers" in current:
         return check_fleet(baseline, current, max_drop)
     if "cases" in baseline or "cases" in current:
         return check_execs(baseline, current, max_drop)
-    if "jit_hotness_threshold" in baseline or "jit_hotness_threshold" in current:
-        return check_jit(baseline, current, max_drop)
     failures = []
     for key, metric in GATED:
         name = f"{key}.{metric}"
@@ -209,6 +170,21 @@ def check(baseline: dict, current: dict, max_drop: float) -> list:
         print(f"{status:4s} {name:32s} {row}")
         if drop > max_drop:
             failures.append((name, base, cur, drop))
+    for name, floor in FLOORS:
+        try:
+            speedup = float(current[name])
+        except (KeyError, TypeError, ValueError):
+            failures.append((name, None, None, None))
+            continue
+        status = "FAIL" if speedup < floor else "ok"
+        print(
+            f"{status:4s} {name:32s} floor    {floor:14,.2f}  "
+            f"current {speedup:14,.2f}"
+        )
+        if speedup < floor:
+            failures.append(
+                (f"{name} [floor]", floor, speedup, (floor - speedup) / floor)
+            )
     return failures
 
 

@@ -67,8 +67,7 @@ def main() -> None:
           f"objects seeded: {runtime.kasan.live_count()}")
 
     print("\n== run the bare-metal program on the TCG engine ==")
-    core = machine.add_cpu(pc=program.symbols["entry"],
-                           sp=0x2000_4000, engine="tcg")
+    core = machine.add_cpu(pc=program.symbols["entry"], sp=0x2000_4000)
     core.run(max_steps=10_000)
     print(f"executed {core.insn_count} instructions, "
           f"{core.tb_flush_count} TB flush(es) from probe injection")

@@ -1,11 +1,15 @@
-"""Wall-clock hot-loop profile for the TCG engine modes.
+"""Wall-clock hot-loop profile for the EVM32 execution tiers.
 
 The Figure-2 cost model reports *modeled* guest-cycle ratios, which are
-mode-independent by construction; this module measures the orthogonal
-quantity — how many guest instructions per host second each execution
-mode actually retires — on a figure-2-style workload: a memory-heavy
-inner loop (the fill/scan mix the overhead corpus replays) plus calls
-and branches, run bare and with KASAN+KCSAN attached in EMBSAN-D mode.
+tier-independent by construction; this module measures the orthogonal
+quantity — how many guest instructions per host second each tier
+actually retires — on a figure-2-style workload: a memory-heavy inner
+loop (the fill/scan mix the overhead corpus replays) plus calls and
+branches, run bare and with KASAN+KCSAN attached in EMBSAN-D mode.
+
+Three cores are profiled (see :data:`CORES`): the thunk tier alone
+(``spec``), the tiered engine machines ship with (``jit``) and the
+reference interpreter (``interp``).
 
 Used by ``benchmarks/bench_tcg_specialization.py`` to produce the
 committed ``BENCH_tcg.json`` artifact.
@@ -13,12 +17,16 @@ committed ``BENCH_tcg.json`` artifact.
 
 from __future__ import annotations
 
+import functools
+import sys
 import time
 from typing import Dict
 
 from repro.emulator.arch import arch_by_name
 from repro.emulator.machine import Machine
 from repro.isa.assembler import assemble
+from repro.isa.cpu import Cpu
+from repro.isa.tcg import TcgEngine
 from repro.sanitizers.runtime.runtime import CommonSanitizerRuntime, RuntimeConfig
 
 #: Entry point of the profile program in flash.
@@ -62,6 +70,17 @@ inner:
 """
 
 
+#: row prefix -> the EVM32 core the profile machine attaches
+CORES = {
+    # a hotness threshold no block reaches: the thunk tier alone
+    "spec": functools.partial(TcgEngine, hot_threshold=sys.maxsize),
+    # the tiered engine exactly as ``Machine.add_cpu`` builds it
+    "jit": TcgEngine,
+    # the reference interpreter
+    "interp": Cpu,
+}
+
+
 def build_workload(iterations: int) -> str:
     """Render the hot-loop source for ``iterations`` outer passes."""
     return HOT_LOOP % {
@@ -70,8 +89,9 @@ def build_workload(iterations: int) -> str:
     }
 
 
-def _make_machine(engine: str, sanitized: bool, iterations: int):
-    machine = Machine(arch_by_name("arm"), name=f"tcg-profile-{engine}")
+def _make_machine(tier: str, sanitized: bool, iterations: int):
+    machine = Machine(arch_by_name("arm"), name=f"tcg-profile-{tier}")
+    machine.core_class = CORES[tier]
     program = assemble(build_workload(iterations), base=TEXT_BASE)
     with machine.bus.untraced():
         machine.bus.region_named("flash").write(TEXT_BASE, program.image)
@@ -79,25 +99,24 @@ def _make_machine(engine: str, sanitized: bool, iterations: int):
     if sanitized:
         config = RuntimeConfig(sanitizers=("kasan", "kcsan"), mode="d")
         runtime = CommonSanitizerRuntime(machine, config).attach()
-    core = machine.add_cpu(pc=program.symbols["entry"], sp=0x2000_4000,
-                           engine=engine)
+    core = machine.add_cpu(pc=program.symbols["entry"], sp=0x2000_4000)
     if runtime is not None:
         # past the ready point: every access is validated
         machine.mark_ready()
     return machine, core
 
 
-def profile_mode(engine: str, sanitized: bool, iterations: int = 2000,
+def profile_mode(tier: str, sanitized: bool, iterations: int = 2000,
                  max_steps: int = 50_000_000) -> Dict[str, float]:
-    """Run the hot loop once under ``engine``; returns timing facts."""
-    machine, core = _make_machine(engine, sanitized, iterations)
+    """Run the hot loop once on the ``tier`` core; returns timing facts."""
+    machine, core = _make_machine(tier, sanitized, iterations)
     start = time.perf_counter()
     executed = core.run(max_steps=max_steps)
     elapsed = time.perf_counter() - start
     if not core.state.halted:  # pragma: no cover - budget misconfiguration
         raise RuntimeError(f"profile did not halt within {max_steps} steps")
     out = {
-        "engine": engine,
+        "engine": tier,
         "sanitized": sanitized,
         "instructions": executed,
         "seconds": elapsed,
@@ -112,60 +131,27 @@ def profile_mode(engine: str, sanitized: bool, iterations: int = 2000,
 
 
 def profile_all(iterations: int = 2000) -> Dict[str, Dict[str, float]]:
-    """Profile both TCG modes, bare and sanitized.
+    """Profile the three cores, bare and sanitized.
 
-    Returns a dict keyed ``spec_bare`` / ``interp_bare`` / ``spec_kasan_kcsan``
-    / ``interp_kasan_kcsan`` plus the derived speedup ratios the acceptance
-    criteria reference.
+    Returns a dict keyed ``<tier>_bare`` / ``<tier>_kasan_kcsan`` for
+    each tier in :data:`CORES`, plus the derived speedup ratios the
+    bench floors reference: ``speedup_bare`` / ``speedup_sanitized``
+    (thunk tier over ``Cpu``) and ``jit_speedup_bare`` /
+    ``jit_speedup_sanitized`` (shipped engine over the thunk tier).
     """
-    results = {
-        "spec_bare": profile_mode("tcg", False, iterations),
-        "interp_bare": profile_mode("tcg-interp", False, iterations),
-        "spec_kasan_kcsan": profile_mode("tcg", True, iterations),
-        "interp_kasan_kcsan": profile_mode("tcg-interp", True, iterations),
-    }
-    results["speedup_bare"] = (
-        results["spec_bare"]["insn_per_sec"]
-        / results["interp_bare"]["insn_per_sec"]
-    )
-    results["speedup_sanitized"] = (
-        results["spec_kasan_kcsan"]["insn_per_sec"]
-        / results["interp_kasan_kcsan"]["insn_per_sec"]
-    )
-    return results
+    results = {}
+    for sanitized, suffix in ((False, "bare"), (True, "kasan_kcsan")):
+        for tier in CORES:
+            results[f"{tier}_{suffix}"] = profile_mode(tier, sanitized,
+                                                       iterations)
 
+    def ratio(fast: str, slow: str) -> float:
+        return results[fast]["insn_per_sec"] / results[slow]["insn_per_sec"]
 
-def profile_jit_all(iterations: int = 2000) -> Dict[str, Dict[str, float]]:
-    """Profile the jit tier against the specialized baseline.
-
-    Returns a dict keyed ``spec_bare`` / ``jit_bare`` /
-    ``spec_kasan_kcsan`` / ``jit_kasan_kcsan`` plus the derived
-    ``speedup_bare`` / ``speedup_sanitized`` ratios and the tier
-    counters the BENCH_jit document stamps.
-    """
-    from repro.isa.tcg import TcgEngine
-
-    results = {
-        "spec_bare": profile_mode("tcg", False, iterations),
-        "jit_bare": profile_mode("jit", False, iterations),
-        "spec_kasan_kcsan": profile_mode("tcg", True, iterations),
-        "jit_kasan_kcsan": profile_mode("jit", True, iterations),
-    }
-    results["speedup_bare"] = (
-        results["jit_bare"]["insn_per_sec"]
-        / results["spec_bare"]["insn_per_sec"]
-    )
-    results["speedup_sanitized"] = (
-        results["jit_kasan_kcsan"]["insn_per_sec"]
-        / results["spec_kasan_kcsan"]["insn_per_sec"]
-    )
-    results["jit_hotness_threshold"] = TcgEngine.DEFAULT_JIT_THRESHOLD
-    results["tb_compiled"] = int(
-        results["jit_bare"].get("tb_compiled", 0)
-        + results["jit_kasan_kcsan"].get("tb_compiled", 0)
-    )
-    results["jit_deopts"] = int(
-        results["jit_bare"].get("jit_deopts", 0)
-        + results["jit_kasan_kcsan"].get("jit_deopts", 0)
-    )
+    results["speedup_bare"] = ratio("spec_bare", "interp_bare")
+    results["speedup_sanitized"] = ratio("spec_kasan_kcsan",
+                                         "interp_kasan_kcsan")
+    results["jit_speedup_bare"] = ratio("jit_bare", "spec_bare")
+    results["jit_speedup_sanitized"] = ratio("jit_kasan_kcsan",
+                                             "spec_kasan_kcsan")
     return results

@@ -124,8 +124,6 @@ def _cmd_fuzz(args) -> int:
         corpus_dir=args.corpus_dir,
         seed_schedule=args.seed_schedule,
         exec_mode=args.exec_mode,
-        engine=args.engine,
-        jit_threshold=args.jit_threshold,
         surface=args.surface,
     )
     print(f"fuzzer: {result.fuzzer}, seed: {result.seed}, "
@@ -223,8 +221,6 @@ def _cmd_fuzz_all(args) -> int:
         faults=args.faults,
         crash_budget=args.crash_budget,
         exec_mode=args.exec_mode,
-        engine=args.engine,
-        jit_threshold=args.jit_threshold,
         surface=args.surface,
     )
     fleet = None
@@ -251,10 +247,6 @@ def _cmd_fuzz_all(args) -> int:
                         kwargs["crash_budget"] = job.crash_budget
                     if job.exec_mode != "journal":
                         kwargs["exec_mode"] = job.exec_mode
-                    if job.engine != "tcg":
-                        kwargs["engine"] = job.engine
-                    if job.jit_threshold is not None:
-                        kwargs["jit_threshold"] = job.jit_threshold
                     if job.surface != "syscall":
                         kwargs["surface"] = job.surface
                     results.append(run_campaign(
@@ -383,8 +375,6 @@ def _fuzz_sharded(args, observer) -> int:
         faults=args.faults,
         crash_budget=args.crash_budget,
         exec_mode=args.exec_mode,
-        engine=args.engine,
-        jit_threshold=args.jit_threshold,
         surface=args.surface,
         observer=observer,
         events_path=args.events_log,
@@ -539,10 +529,6 @@ def _cmd_submit(args) -> int:
             spec[key] = value
     if args.exec_mode != "journal":
         spec["exec_mode"] = args.exec_mode
-    if args.engine != "tcg":
-        spec["engine"] = args.engine
-    if args.jit_threshold is not None:
-        spec["jit_threshold"] = args.jit_threshold
     if args.surface != "syscall":
         spec["surface"] = args.surface
     if args.checkpoint_every:
@@ -786,15 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--corpus-dir", default=None, metavar="DIR",
                       help="persistent corpus store: existing entries seed "
                            "the campaign, discoveries persist back")
-    fuzz.add_argument("--engine", default="tcg",
-                      choices=["tcg", "tcg-interp", "jit"],
-                      help="ISA execution tier: specialized TCG "
-                           "(default), the reference interpreter, or "
-                           "the tiered JIT (see docs/jit.md)")
-    fuzz.add_argument("--jit-threshold", type=int, default=None,
-                      metavar="N",
-                      help="block executions before a hot trace is "
-                           "compiled (engine=jit only)")
     fuzz.add_argument("--exec-mode", default="journal",
                       choices=["journal", "forkserver"],
                       help="target reset strategy: per-program journal + "
@@ -837,13 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_all.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                           help="per-firmware checkpoint files; fleet "
                                "workers resume from these after a crash")
-    fuzz_all.add_argument("--engine", default="tcg",
-                          choices=["tcg", "tcg-interp", "jit"],
-                          help="ISA execution tier (see `fuzz`)")
-    fuzz_all.add_argument("--jit-threshold", type=int, default=None,
-                          metavar="N",
-                          help="hot-trace compile threshold "
-                               "(engine=jit only)")
     fuzz_all.add_argument("--exec-mode", default="journal",
                           choices=["journal", "forkserver"],
                           help="target reset strategy (see `fuzz`)")
@@ -979,10 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--watchdog-cycles", type=float, default=None)
     submit.add_argument("--exec-mode", default="journal",
                         choices=["journal", "forkserver"])
-    submit.add_argument("--engine", default="tcg",
-                        choices=["tcg", "tcg-interp", "jit"])
-    submit.add_argument("--jit-threshold", type=int, default=None,
-                        metavar="N")
     submit.add_argument("--surface", default="syscall",
                         choices=["syscall", "driver"])
     submit.add_argument("--checkpoint-every", type=int, default=0,

@@ -25,7 +25,6 @@ from repro.emulator.events import (
 from repro.emulator.hooks import HookRegistry
 from repro.emulator.hypercalls import Hypercall
 from repro.errors import GuestFault
-from repro.isa.cpu import Cpu
 from repro.isa.tcg import TcgEngine
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, Perm
@@ -37,6 +36,12 @@ class GuestPanic(GuestFault):
 
 class Machine:
     """An emulated embedded platform instance."""
+
+    #: the EVM32 core :meth:`add_cpu` attaches: always the tiered
+    #: :class:`TcgEngine`.  Test-only seam: tests and the TCG profiler
+    #: substitute the reference :class:`repro.isa.cpu.Cpu` here (the
+    #: VxWorks kernel calls ``add_cpu`` itself during boot).
+    core_class = TcgEngine
 
     def __init__(self, arch: Arch, name: str = "machine"):
         self.arch = arch
@@ -57,14 +62,6 @@ class Machine:
         # cycle accounting: guest work vs sanitizer-added overhead
         self._charged_guest_cycles = 0
         self.overhead_cycles = 0
-
-        #: engine kind used when ``add_cpu`` is called without an explicit
-        #: ``engine`` (OS boot paths go through this, so campaigns can
-        #: select the jit tier before ``image.boot()`` attaches CPUs)
-        self.isa_engine = "tcg"
-        #: hotness threshold handed to jit-tier engines; None keeps
-        #: :attr:`TcgEngine.DEFAULT_JIT_THRESHOLD`
-        self.jit_threshold: Optional[int] = None
 
         #: optional hang guard shared by every engine and charge_guest
         self.watchdog = None
@@ -236,32 +233,10 @@ class Machine:
     # ------------------------------------------------------------------
     # execution engines
     # ------------------------------------------------------------------
-    def add_cpu(self, pc: int = 0, sp: int = 0,
-                engine: Optional[str] = None):
-        """Attach an execution engine for EVM32 code.
-
-        ``engine`` selects the implementation: ``"tcg"`` (translation
-        blocks, specialized closures — the default), ``"jit"`` (the tcg
-        engine with the hot-trace compiled tier enabled), ``"tcg-interp"``
-        (translation blocks, per-opcode re-dispatch; the pre-specialization
-        behaviour kept for A/B benchmarking) or ``"interp"`` (the
-        reference single-step interpreter).  ``None`` falls back to the
-        machine-wide :attr:`isa_engine` default.
-        """
-        if engine is None:
-            engine = self.isa_engine
-        if engine == "tcg":
-            core = TcgEngine(self.bus, pc=pc, sp=sp, hypercall=self._hypercall)
-        elif engine == "jit":
-            core = TcgEngine(self.bus, pc=pc, sp=sp, hypercall=self._hypercall,
-                             jit=True, jit_threshold=self.jit_threshold)
-        elif engine == "tcg-interp":
-            core = TcgEngine(self.bus, pc=pc, sp=sp, hypercall=self._hypercall,
-                             specialize=False)
-        elif engine == "interp":
-            core = Cpu(self.bus, pc=pc, sp=sp, hypercall=self._hypercall)
-        else:
-            raise ValueError(f"unknown engine kind {engine!r}")
+    def add_cpu(self, pc: int = 0, sp: int = 0):
+        """Attach an EVM32 execution engine (:attr:`core_class`)."""
+        core = self.core_class(self.bus, pc=pc, sp=sp,
+                               hypercall=self._hypercall)
         if isinstance(core, TcgEngine):
             core.mem_fast_check = self._scalar_unobserved
         core.call_probes.append(self._on_isa_call)

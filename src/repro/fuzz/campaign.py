@@ -104,8 +104,6 @@ def run_campaign(
     seed_schedule: str = "uniform",
     shard: Optional[Tuple[int, int]] = None,
     exec_mode: str = "journal",
-    engine: str = "tcg",
-    jit_threshold: Optional[int] = None,
     surface: str = "syscall",
     on_checkpoint_saved: Optional[Callable[[str], None]] = None,
 ) -> CampaignResult:
@@ -139,11 +137,6 @@ def run_campaign(
     every refresh and journals each program, ``"forkserver"`` rewinds a
     golden snapshot by copying back only dirty pages.  The census is
     byte-identical either way; only throughput differs.
-
-    ``engine`` selects the ISA execution tier (``"tcg"``, ``"tcg-interp"``
-    or ``"jit"`` — see ``docs/jit.md``) and ``jit_threshold`` overrides
-    the hot-trace compile threshold; census output is engine-invariant,
-    only throughput differs.
 
     ``surface="driver"`` fuzzes the firmware's driver-op surface instead
     of its syscall/task API: the build attaches the modeled peripherals
@@ -210,10 +203,6 @@ def run_campaign(
         kwargs["shard"] = (shard[0], shard[1])
     if exec_mode != "journal":
         kwargs["exec_mode"] = exec_mode
-    if engine != "tcg":
-        kwargs["engine"] = engine
-    if jit_threshold is not None:
-        kwargs["jit_threshold"] = jit_threshold
     if surface != "syscall":
         kwargs["surface"] = surface
     fuzzer = fuzzer_cls(firmware, **kwargs)

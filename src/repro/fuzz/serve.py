@@ -68,8 +68,7 @@ from repro.fuzz.transport import PROTOCOL_VERSION, FrameStream
 SPEC_FIELDS = frozenset({
     "firmware", "budget", "seed", "seeds", "faults", "fault_seed",
     "crash_budget", "watchdog_insns", "watchdog_cycles", "sanitizers",
-    "seed_schedule", "exec_mode", "checkpoint_every",
-    "engine", "jit_threshold", "surface",
+    "seed_schedule", "exec_mode", "checkpoint_every", "surface",
 })
 
 
@@ -104,7 +103,9 @@ def build_campaign_job(job: QueueJob, checkpoint_dir: str) -> CampaignJob:
 
     The checkpoint path is derived from the *queue* job id, not the
     firmware: two jobs fuzzing the same firmware are distinct tenants
-    with distinct resume state.
+    with distinct resume state.  Only known keys are read, so a spec
+    admitted under an older field set (e.g. the retired ISA-engine
+    knobs) still materializes; validation happens only at admission.
     """
     spec = job.spec
     os.makedirs(checkpoint_dir, exist_ok=True)
@@ -131,8 +132,6 @@ def build_campaign_job(job: QueueJob, checkpoint_dir: str) -> CampaignJob:
         ),
         seed_schedule=spec.get("seed_schedule", "uniform"),
         exec_mode=spec.get("exec_mode", "journal"),
-        engine=spec.get("engine", "tcg"),
-        jit_threshold=spec.get("jit_threshold"),
         surface=spec.get("surface", "syscall"),
     )
 

@@ -93,9 +93,6 @@ class CampaignJob:
     shard_count: Optional[int] = None
     #: target reset strategy ("journal" | "forkserver")
     exec_mode: str = "journal"
-    #: ISA execution tier ("tcg" | "tcg-interp" | "jit")
-    engine: str = "tcg"
-    jit_threshold: Optional[int] = None
     #: fuzz surface ("syscall" | "driver")
     surface: str = "syscall"
 
@@ -126,8 +123,6 @@ class CampaignJob:
             "shard_index": self.shard_index,
             "shard_count": self.shard_count,
             "exec_mode": self.exec_mode,
-            "engine": self.engine,
-            "jit_threshold": self.jit_threshold,
             "surface": self.surface,
         }
 
@@ -684,8 +679,6 @@ def make_jobs(
     watchdog_insns: Optional[int] = None,
     watchdog_cycles: Optional[float] = None,
     exec_mode: str = "journal",
-    engine: str = "tcg",
-    jit_threshold: Optional[int] = None,
     surface: str = "syscall",
 ) -> List[CampaignJob]:
     """One job per Table-1 firmware (or per ``firmware`` subset).
@@ -726,8 +719,6 @@ def make_jobs(
             watchdog_insns=watchdog_insns,
             watchdog_cycles=watchdog_cycles,
             exec_mode=exec_mode,
-            engine=engine,
-            jit_threshold=jit_threshold,
             surface=surface,
         )
         for name in names
@@ -781,8 +772,6 @@ def make_shard_jobs(
     watchdog_insns: Optional[int] = None,
     watchdog_cycles: Optional[float] = None,
     exec_mode: str = "journal",
-    engine: str = "tcg",
-    jit_threshold: Optional[int] = None,
     surface: str = "syscall",
 ) -> List[CampaignJob]:
     """One job per shard of a single firmware; ``budget`` is per shard.
@@ -824,8 +813,6 @@ def make_shard_jobs(
             shard_index=index,
             shard_count=shards,
             exec_mode=exec_mode,
-            engine=engine,
-            jit_threshold=jit_threshold,
             surface=surface,
         )
         for index in range(shards)
@@ -883,8 +870,6 @@ def run_sharded_fleet(
     watchdog_insns: Optional[int] = None,
     watchdog_cycles: Optional[float] = None,
     exec_mode: str = "journal",
-    engine: str = "tcg",
-    jit_threshold: Optional[int] = None,
     surface: str = "syscall",
     observer=None,
     events_path: Optional[str] = None,
@@ -970,8 +955,6 @@ def run_sharded_fleet(
                 watchdog_insns=watchdog_insns,
                 watchdog_cycles=watchdog_cycles,
                 exec_mode=exec_mode,
-                engine=engine,
-                jit_threshold=jit_threshold,
                 surface=surface,
             )
             fleet = run_fleet(

@@ -97,10 +97,6 @@ def _run_job(job: dict, observer=None, on_checkpoint_saved=None):
         kwargs["shard"] = (job["shard_index"], job["shard_count"])
     if job.get("exec_mode", "journal") != "journal":
         kwargs["exec_mode"] = job["exec_mode"]
-    if job.get("engine", "tcg") != "tcg":
-        kwargs["engine"] = job["engine"]
-    if job.get("jit_threshold") is not None:
-        kwargs["jit_threshold"] = job["jit_threshold"]
     if job.get("surface", "syscall") != "syscall":
         kwargs["surface"] = job["surface"]
     if job.get("seeds"):

@@ -1,9 +1,10 @@
 """EVM32 interpreter CPU.
 
 A straightforward decode-dispatch interpreter.  It is the reference
-execution engine; :mod:`repro.isa.tcg` provides the translation-block
-engine with sanitizer probe injection that the Common Sanitizer Runtime
-actually patches (mirroring how EMBSAN modifies QEMU/TCG templates).
+execution engine; :mod:`repro.isa.tcg` provides the tiered
+translation-block engine with sanitizer probe injection that machines
+attach and the Common Sanitizer Runtime patches (mirroring how EMBSAN
+modifies QEMU/TCG templates).
 """
 
 from __future__ import annotations
@@ -95,16 +96,22 @@ class Cpu:
         return not state.halted
 
     def run(self, max_steps: int = 1_000_000) -> int:
-        """Run until HLT or ``max_steps``; returns instructions executed."""
+        """Run until HLT or ``max_steps``; returns instructions executed.
+
+        Every retired instruction, the halting ``HLT`` included, counts
+        toward the return value and is charged to the watchdog.
+        """
         executed = 0
+        state = self.state
         watchdog = self.watchdog
-        while executed < max_steps and self.step():
+        while executed < max_steps and not state.halted:
+            self.step()
             executed += 1
             if watchdog is not None:
                 try:
-                    watchdog.consume(1, self.state.pc, self.state.task)
+                    watchdog.consume(1, state.pc, state.task)
                 except GuestHang:
-                    self.state.halted = True
+                    state.halted = True
                     raise
         return executed
 

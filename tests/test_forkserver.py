@@ -24,6 +24,7 @@ from repro.fuzz.checkpoint import (
     save_checkpoint,
 )
 from repro.fuzz.engine import EXEC_MODES, FuzzTarget
+from repro.bench.tcg_profile import CORES
 from repro.isa.tcg import TcgEngine
 from repro.mem.dirty import PAGE_SIZE, DirtySet
 from repro.mem.regions import MemoryRegion
@@ -31,6 +32,16 @@ from repro.mem.regions import MemoryRegion
 
 def _canon(result) -> str:
     return json.dumps(result_to_json(result), sort_keys=True)
+
+
+#: engine test id -> the EVM32 core ``Machine.add_cpu`` attaches: the
+#: thunk tier alone (``tcg``), the reference interpreter (``tcg-interp``)
+#: and the tiered engine as shipped (``jit``)
+ISA_CORES = {
+    "tcg": CORES["spec"],
+    "tcg-interp": CORES["interp"],
+    "jit": CORES["jit"],
+}
 
 
 # ----------------------------------------------------------------------
@@ -275,14 +286,38 @@ class TestFuzzTargetModes:
 class TestExecModeIdentity:
     @pytest.mark.parametrize("engine", ["tcg", "tcg-interp", "jit"])
     def test_census_identity_small_firmware(self, engine, monkeypatch):
-        monkeypatch.setattr(TcgEngine, "DEFAULT_SPECIALIZE",
-                            engine != "tcg-interp")
-        monkeypatch.setattr(TcgEngine, "DEFAULT_JIT", engine == "jit")
-        monkeypatch.setattr(TcgEngine, "DEFAULT_JIT_THRESHOLD", 4)
-        journal = run_campaign("InfiniTime", budget=200, seed=1)
-        fork = run_campaign("InfiniTime", budget=200, seed=1,
-                            exec_mode="forkserver")
-        assert _canon(fork) == _canon(journal)
+        """TP-Link's VxWorks service blobs are the catalog's EVM32 code,
+        which the VxWorks kernel attaches through ``Machine.core_class``.
+        Every core (see ``ISA_CORES``) must produce the reference ``Cpu``'s
+        campaign under both exec modes, and leave every core it attached
+        in the same architectural state as ``Cpu`` does in that mode."""
+        runs = {}
+
+        def campaign(name, mode):
+            if (name, mode) not in runs:
+                attached = []
+
+                def build(*args, **kwargs):
+                    core = ISA_CORES[name](*args, **kwargs)
+                    attached.append(core)
+                    return core
+
+                monkeypatch.setattr(Machine, "core_class", staticmethod(build))
+                result = run_campaign("TP-Link WDR-7660", budget=400, seed=1,
+                                      exec_mode=mode)
+                runs[name, mode] = (_canon(result), [
+                    (tuple(c.state.regs), c.state.pc, c.cycles, c.insn_count)
+                    for c in attached
+                ])
+            return runs[name, mode]
+
+        reference, _ = campaign("tcg-interp", "journal")
+        for mode in ("journal", "forkserver"):
+            canon, states = campaign(engine, mode)
+            _, reference_states = campaign("tcg-interp", mode)
+            assert states  # the blobs ran on a core
+            assert canon == reference
+            assert states == reference_states
 
     def test_census_identity_linux_firmware(self):
         journal = run_campaign("OpenWRT-armvirt", budget=150, seed=2)

@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.tcg_profile import CORES
+from repro.emulator.machine import Machine
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.ifspec import (
@@ -26,6 +28,18 @@ from repro.fuzz.program import (
 from repro.fuzz.syzkaller import SyzkallerFuzzer
 from repro.fuzz.tardis import TardisFuzzer
 from repro.firmware.registry import build_firmware
+
+#: the catalog firmware whose campaigns run EVM32 code on an attached core
+ISA_FIRMWARE = "TP-Link WDR-7660"
+
+#: engine test id -> the EVM32 core ``Machine.add_cpu`` attaches: the
+#: thunk tier alone (``tcg``), the reference interpreter (``tcg-interp``)
+#: and the tiered engine as shipped (``jit``)
+ISA_CORES = {
+    "tcg": CORES["spec"],
+    "tcg-interp": CORES["interp"],
+    "jit": CORES["jit"],
+}
 
 
 class TestProgram:
@@ -169,27 +183,28 @@ class TestCampaign:
 
 class TestMidCampaignSnapshot:
     """Snapshot.restore mid-campaign must leave every layer coherent:
-    guest RAM, TB caches (both TCG modes), shadow memory and the
+    guest RAM, the attached core's TB caches, shadow memory and the
     sanitizer runtime, so that fuzzing can continue and replaying the
     same programs reproduces the pre-restore outcomes exactly."""
 
     @staticmethod
     def _outcome(fuzzer, program):
+        engines = fuzzer.target.image.ctx.machine.engines
+        retired = sum(core.insn_count for core in engines)
         fuzzer._current_reports.clear()
         fault = fuzzer.target.execute(program.clone(), fuzzer.spec.style)
         return (
             type(fault).__name__ if fault is not None else None,
             sorted(r.dedup_key() for r in fuzzer._current_reports),
+            sum(core.insn_count for core in engines) - retired,
         )
 
-    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp"])
+    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp", "jit"])
     def test_restore_then_continue_fuzzing(self, monkeypatch, engine):
         from repro.emulator.snapshot import take
-        from repro.isa.tcg import TcgEngine
 
-        monkeypatch.setattr(TcgEngine, "DEFAULT_SPECIALIZE",
-                            engine == "tcg")
-        fuzzer = TardisFuzzer("InfiniTime", seed=4)
+        monkeypatch.setattr(Machine, "core_class", ISA_CORES[engine])
+        fuzzer = TardisFuzzer(ISA_FIRMWARE, seed=4)
         machine = fuzzer.target.image.ctx.machine
         programs = [p.clone() for p in fuzzer.corpus[:6]]
         for program in programs[:2]:
@@ -197,24 +212,24 @@ class TestMidCampaignSnapshot:
 
         snap = take(machine)
         runtime_state = fuzzer.target.runtime.save_state()
-        first = [self._outcome(fuzzer, p) for p in programs[2:]]
+        first = [self._outcome(fuzzer, p) for p in programs]
+        assert any(retired for *_, retired in first)  # blob code ran
 
         snap.restore(machine)
         # the runtime rewound with the machine (shadow, quarantine,
         # pending stacks, console tail)
         assert fuzzer.target.runtime.save_state() == runtime_state
-        # and the same programs replay to identical faults and reports
-        second = [self._outcome(fuzzer, p) for p in programs[2:]]
+        # and the same programs replay to identical faults, reports and
+        # retired instruction counts
+        second = [self._outcome(fuzzer, p) for p in programs]
         assert second == first
 
-    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp"])
+    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp", "jit"])
     def test_restore_keeps_coverage_listener_live(self, monkeypatch, engine):
         from repro.emulator.snapshot import take
-        from repro.isa.tcg import TcgEngine
 
-        monkeypatch.setattr(TcgEngine, "DEFAULT_SPECIALIZE",
-                            engine == "tcg")
-        fuzzer = TardisFuzzer("InfiniTime", seed=4)
+        monkeypatch.setattr(Machine, "core_class", ISA_CORES[engine])
+        fuzzer = TardisFuzzer(ISA_FIRMWARE, seed=4)
         machine = fuzzer.target.image.ctx.machine
         snap = take(machine)
         fuzzer.run(10)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.emulator.watchdog import Watchdog
 from repro.errors import BusError, InvalidOpcode
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu
@@ -45,6 +46,15 @@ class TestBothEngines:
         core.run()
         assert core.state.read(4) == 12  # a3
         assert core.state.halted
+
+    def test_run_counts_the_halting_insn(self, engine):
+        core, _ = load_machine(ALU_PROGRAM, engine)
+        core.watchdog = Watchdog()
+        before = core.insn_count
+        executed = core.run()
+        # ten instructions, the final HLT included, retired and charged
+        assert executed == core.insn_count - before == 10
+        assert core.watchdog.insns == executed
 
     def test_loop(self, engine):
         core, _ = load_machine(

@@ -11,7 +11,7 @@ The headline contracts under test:
 * modeled peripherals restore coherently across Snapshot and
   fork-server rewinds, including mid-transfer ring state;
 * a ``--surface driver`` campaign reaches every seeded driver bug in
-  the census, byte-identically across exec modes and engines, while the
+  the census, byte-identically across exec modes, while the
   default syscall-surface census stays byte-identical to a build that
   never heard of the driver surface.
 """
@@ -33,7 +33,6 @@ from repro.fuzz.campaign import run_campaign
 from repro.fuzz.checkpoint import result_to_json
 from repro.fuzz.ifspec import driver_interface
 from repro.fuzz.syzkaller import SyzkallerFuzzer
-from repro.isa.tcg import TcgEngine
 from repro.obs import Observer
 from repro.periph.device import DeviceModel
 from repro.periph.netdma import (
@@ -563,18 +562,6 @@ class TestDriverCampaign:
                             surface="driver", exec_mode="forkserver")
         assert journal.missed == [] and fork.missed == []
         assert _canon(journal) == _canon(fork)
-
-    @pytest.mark.parametrize("engine", ["tcg-interp", "tcg", "jit"])
-    def test_census_identical_across_engines(self, engine, monkeypatch):
-        monkeypatch.setattr(TcgEngine, "DEFAULT_SPECIALIZE",
-                            engine != "tcg-interp")
-        monkeypatch.setattr(TcgEngine, "DEFAULT_JIT", engine == "jit")
-        monkeypatch.setattr(TcgEngine, "DEFAULT_JIT_THRESHOLD", 4)
-        result = run_campaign(DRIVER_FIRMWARE, budget=60, seed=1,
-                              surface="driver")
-        if not hasattr(TestDriverCampaign, "_engine_canon"):
-            TestDriverCampaign._engine_canon = _canon(result)
-        assert _canon(result) == TestDriverCampaign._engine_canon
 
     def test_default_surface_census_byte_identical(self):
         implicit = run_campaign(DRIVER_FIRMWARE, budget=40, seed=3)

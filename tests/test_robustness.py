@@ -33,9 +33,11 @@ from repro.fuzz.diagnostics import CampaignDiagnostics, CrashRecord
 from repro.fuzz.program import Call, Program
 from repro.fuzz.tardis import TardisFuzzer
 from repro.isa.assembler import assemble
+from repro.isa.cpu import Cpu
+from repro.isa.tcg import TcgEngine
 
 
-def load_wedged_guest(machine, engine):
+def load_wedged_guest(machine):
     """Assemble an infinite loop into flash and attach an engine to it."""
     flash = machine.arch.region("flash")
     dram = machine.arch.region("dram")
@@ -45,13 +47,17 @@ def load_wedged_guest(machine, engine):
     )
     with machine.bus.untraced():
         machine.bus.write_bytes(flash.base, program.image)
-    return machine.add_cpu(pc=flash.base, sp=dram.base + 0x1000, engine=engine)
+    return machine.add_cpu(pc=flash.base, sp=dram.base + 0x1000)
 
 
 class TestWatchdog:
-    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp", "interp"])
-    def test_wedged_guest_trips_within_budget(self, machine, engine):
-        core = load_wedged_guest(machine, engine)
+    @pytest.mark.parametrize("core_class", [
+        pytest.param(TcgEngine, id="tcg"),
+        pytest.param(Cpu, id="interp"),
+    ])
+    def test_wedged_guest_trips_within_budget(self, machine, core_class):
+        machine.core_class = core_class
+        core = load_wedged_guest(machine)
         machine.set_watchdog(insn_budget=1_000)
         with pytest.raises(GuestHang) as info:
             core.run(max_steps=10_000_000)
@@ -85,7 +91,7 @@ class TestWatchdog:
         machine.charge_guest(90)  # would trip without the reset
 
     def test_checks_are_charged_as_overhead(self, machine):
-        core = load_wedged_guest(machine, "tcg")
+        core = load_wedged_guest(machine)
         machine.set_watchdog(insn_budget=300)
         before = machine.overhead_cycles
         with pytest.raises(GuestHang):

@@ -30,6 +30,7 @@ from repro.fuzz.queue import (
 from repro.fuzz.serve import (
     FuzzService,
     ServeClient,
+    build_campaign_job,
     normalized_findings,
     parse_address,
     validate_spec,
@@ -251,6 +252,29 @@ class TestContracts:
             validate_spec(_spec(budget=0))
         with pytest.raises(FuzzerError):
             validate_spec(_spec(bogus_knob=1))
+
+    def test_retired_engine_knobs(self, tmp_path):
+        """``engine``/``jit_threshold`` are refused at admission, yet a
+        job already in the WAL that carries them still materializes and
+        runs: validation happens only at admission."""
+        from repro.fuzz.worker import _run_job
+
+        for knob in ({"engine": "jit"}, {"jit_threshold": 8}):
+            with pytest.raises(FuzzerError, match="unknown spec fields"):
+                validate_spec(_spec(**knob))
+        # JobQueue.submit is below admission: this is the WAL record an
+        # older daemon would have written
+        q = JobQueue(str(tmp_path / "q"))
+        q.submit(_spec(budget=60, engine="jit", jit_threshold=8))
+        q.close()
+        q = JobQueue(str(tmp_path / "q"))
+        job = build_campaign_job(q.lease("owner"), str(tmp_path / "ck"))
+        q.close()
+        result = _run_job(job.payload(attempt=1, heartbeat_interval=1.0))
+        ref = run_campaign(FW, budget=60, seed=1,
+                           checkpoint_path=str(tmp_path / "ref.json"))
+        assert _result_bytes(result_to_json(result)) == _result_bytes(
+            result_to_json(ref))
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:7400") == ("127.0.0.1", 7400)

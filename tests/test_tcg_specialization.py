@@ -1,21 +1,23 @@
-"""TB semantics of the specialized TCG engine.
+"""TB semantics of the tiered TCG engine.
 
-Covers the translation-block contract the specialization rewrite must
-preserve: block boundaries, flush/invalidation behaviour (probe churn,
-chained links, self-modifying code), cache capacity, and — the load-
-bearing property — that the specialized closures, the per-opcode
-interpreter templates and the reference CPU retire bit-identical
-architectural state with identical cycle accounting.
+Covers the translation-block contract: block boundaries,
+flush/invalidation behaviour (probe churn, chained links, self-modifying
+code), cache capacity, the compiled tier's deopt paths, and — the load-
+bearing property — that the thunk tier, the compiled traces and the
+reference CPU retire bit-identical architectural state with identical
+cycle accounting.
 """
 
 import pytest
 
 from repro.bugs.catalog import table4_bugs_for
 from repro.bugs.replay import replay_on_embsan
+from repro.emulator.machine import Machine
 from repro.firmware.instrument import InstrumentationMode
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu
 from repro.isa.insn import INSN_SIZE, Op, apply_load_sign
+from repro.mem.access import AccessKind
 from repro.isa.tcg import MAX_BLOCK_LEN, TcgEngine
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, Perm
@@ -25,6 +27,8 @@ RAM_BASE = 0x10000
 
 
 def make_core(source, engine="tcg", text_perm=Perm.RX, hypercall=None, **kw):
+    """``engine``: "tcg" (as machines attach it), "jit" (a threshold low
+    enough that the small test programs compile) or "interp" (``Cpu``)."""
     bus = MemoryBus()
     bus.map(MemoryRegion("text", 0, 0x4000, text_perm, "flash"))
     bus.map(MemoryRegion("ram", RAM_BASE, 0x4000, Perm.RW, "ram"))
@@ -33,13 +37,11 @@ def make_core(source, engine="tcg", text_perm=Perm.RX, hypercall=None, **kw):
         bus.region_named("text").write(0, program.image)
     if engine == "interp":
         core = Cpu(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall)
-    elif engine == "jit":
-        kw.setdefault("jit_threshold", 2)
-        core = TcgEngine(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall,
-                         specialize=True, jit=True, **kw)
     else:
+        if engine == "jit":
+            kw.setdefault("hot_threshold", 2)
         core = TcgEngine(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall,
-                         specialize=(engine == "tcg"), **kw)
+                         **kw)
     return core, program
 
 
@@ -278,14 +280,12 @@ class TestModeEquivalence:
     @pytest.mark.parametrize("source", [STRAIGHT_LINE, MIXED_PROGRAM])
     def test_spec_interp_jit_cpu_identical(self, source):
         spec, _ = make_core(source, "tcg")
-        interp, _ = make_core(source, "tcg-interp")
         jit, _ = make_core(source, "jit")
         ref, _ = make_core(source, "interp")
         spec.run()
-        interp.run()
         jit.run()
         ref.run()
-        cores = (spec, interp, jit)
+        cores = (spec, jit)
         assert all(c.state.regs == ref.state.regs for c in cores)
         assert all(c.state.pc == ref.state.pc for c in cores)
         assert ref.state.halted and all(c.state.halted for c in cores)
@@ -313,46 +313,44 @@ class TestModeEquivalence:
         assert plain.insn_count == probed.insn_count
 
     def test_probed_modes_see_identical_accesses(self):
+        """Probes see exactly the data accesses ``Cpu`` puts on the bus."""
         streams = {}
-        for mode in ("tcg", "tcg-interp", "jit"):
+        for mode in ("tcg", "jit", "interp"):
             core, _ = make_core(MIXED_PROGRAM, mode)
             seen = []
-            core.add_mem_probe(
-                lambda a, seen=seen: seen.append(
-                    (a.addr, a.size, a.is_write, a.pc, a.atomic)
-                )
-            )
+
+            def record(a, seen=seen):
+                if a.kind is AccessKind.DATA:
+                    seen.append((a.addr, a.size, a.is_write, a.pc, a.atomic))
+
+            if mode == "interp":
+                core.bus.add_observer(record)
+            else:
+                core.add_mem_probe(record)
             core.run()
             streams[mode] = seen
-        assert streams["tcg"] == streams["tcg-interp"] == streams["jit"]
+        assert streams["tcg"]
+        assert streams["tcg"] == streams["jit"] == streams["interp"]
 
     def test_chain_hit_counter(self):
         core, _ = make_core(MIXED_PROGRAM)
         core.run()
         assert core.tb_chain_hits > 0
-        interp, _ = make_core(MIXED_PROGRAM, "tcg-interp")
-        interp.run()
-        assert interp.tb_chain_hits == 0
 
 
 class TestReplaySuiteEquivalence:
-    """ISSUE acceptance: bit-identical state on the bug-replay corpus.
+    """Bit-identical state on the bug-replay corpus.
 
     The VxWorks firmware is the corpus' EVM32/TCG consumer (its service
-    blobs execute on the engine); replay each of its bugs under both
-    template flavours and require identical detection and machine state.
+    blobs execute on the engine); replay each of its bugs on the tiered
+    engine and on the reference ``Cpu`` and require identical detection
+    and machine state.
     """
 
-    ENGINES = {
-        "spec": {"DEFAULT_SPECIALIZE": True, "DEFAULT_JIT": False},
-        "interp": {"DEFAULT_SPECIALIZE": False, "DEFAULT_JIT": False},
-        "jit": {"DEFAULT_SPECIALIZE": True, "DEFAULT_JIT": True,
-                "DEFAULT_JIT_THRESHOLD": 4},
-    }
+    ENGINES = {"tiered": TcgEngine, "cpu": Cpu}
 
     def _patched(self, monkeypatch, name):
-        for attr, value in self.ENGINES[name].items():
-            monkeypatch.setattr(TcgEngine, attr, value)
+        monkeypatch.setattr(Machine, "core_class", self.ENGINES[name])
 
     @pytest.mark.parametrize(
         "record", table4_bugs_for("TP-Link WDR-7660"), ids=lambda r: r.bug_id
@@ -366,7 +364,7 @@ class TestReplaySuiteEquivalence:
                 result.detected, result.crashed,
                 [(r.bug_type, r.addr, r.pc) for r in result.reports],
             )
-        assert outcomes["spec"] == outcomes["interp"] == outcomes["jit"]
+        assert outcomes["tiered"] == outcomes["cpu"]
 
     @pytest.mark.parametrize(
         "record", table4_bugs_for("TP-Link WDR-7660"), ids=lambda r: r.bug_id
@@ -383,12 +381,15 @@ class TestReplaySuiteEquivalence:
             image.boot()
             fault = run_program(image, record.reproducer, record.interface)
             cpu = image.kernel.cpu
+            assert isinstance(cpu, self.ENGINES[name])
             states[name] = (
                 tuple(cpu.state.regs), cpu.state.pc, cpu.state.halted,
                 cpu.cycles, cpu.insn_count, fault is None,
                 runtime.sink.unique_count(),
+                [(r.bug_type, r.addr, r.pc) for r in runtime.sink.unique.values()],
+                image.machine.guest_cycles, image.machine.overhead_cycles,
             )
-        assert states["spec"] == states["interp"] == states["jit"]
+        assert states["tiered"] == states["cpu"]
 
 
 SMC_IN_TRACE = """
@@ -417,9 +418,9 @@ patch_target:
 
 
 class TestJitDeopts:
-    """The jit tier's deopt contract: every invalidation event that
+    """The compiled tier's deopt contract: every invalidation event that
     flushes chained TBs must tear down (or side-exit) compiled traces,
-    leaving architectural state bit-identical to the uncompiled engine.
+    leaving architectural state bit-identical to the thunk tier.
     """
 
     def test_smc_store_into_compiled_trace(self):
@@ -461,7 +462,7 @@ class TestJitDeopts:
         from repro.errors import GuestHang
 
         states = {}
-        for engine in ("tcg", "jit"):
+        for engine in ("spec", "jit"):
             machine, core = _make_machine(engine, False, iterations=50)
             machine.set_watchdog(insn_budget=2000)
             with pytest.raises(GuestHang):
@@ -471,7 +472,7 @@ class TestJitDeopts:
                 core.cycles, core.insn_count, machine.watchdog.trips,
             )
         assert states["jit"][5] == 1  # it actually tripped
-        assert states["tcg"] == states["jit"]
+        assert states["spec"] == states["jit"]
 
     def test_forkserver_restore_after_compilation(self):
         from repro.bench.tcg_profile import _make_machine
@@ -491,14 +492,14 @@ class TestJitDeopts:
         # cached region buffers were restored in place, not reassigned
         second = run_out(core)
         assert second == first
-        ref_machine, ref = _make_machine("tcg", False, iterations=30)
+        ref_machine, ref = _make_machine("spec", False, iterations=30)
         assert run_out(ref) == first
 
     def test_fault_plan_identity(self):
         from repro.emulator.faults import plan_for
 
         states = {}
-        for engine in ("tcg", "tcg-interp", "jit"):
+        for engine in ("tcg", "jit", "interp"):
             core, _ = make_core(MIXED_PROGRAM, engine)
             core.bus.fault_plan = plan_for(
                 "bitflip:0x10000-0x14000:p=0.2", seed=7
@@ -508,7 +509,7 @@ class TestJitDeopts:
                 tuple(core.state.regs), core.state.pc, core.cycles,
                 core.insn_count, ram_bytes(core),
             )
-        assert states["tcg"] == states["tcg-interp"] == states["jit"]
+        assert states["tcg"] == states["jit"] == states["interp"]
 
 
 class TestSignExtensionHelper:
