@@ -13,6 +13,7 @@ import json
 import os
 import signal
 
+from repro.fuzz.config import CampaignConfig
 from repro.fuzz.supervisor import CampaignJob, run_fleet
 
 FIRMWARE = ["InfiniTime", "OpenHarmony-stm32f407"]
@@ -20,9 +21,9 @@ FIRMWARE = ["InfiniTime", "OpenHarmony-stm32f407"]
 
 def main():
     jobs = [
-        CampaignJob(job_id=fw, firmware=fw, budget=1500, seed=1,
-                    checkpoint_path=f"chaos_{i}.json",
-                    checkpoint_every=500)
+        CampaignJob(job_id=fw, config=CampaignConfig(
+                        fw, budget=1500, seed=1, checkpoint_every=500),
+                    checkpoint_path=f"chaos_{i}.json")
         for i, fw in enumerate(FIRMWARE)
     ]
     pids, killed = {}, []

@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 from repro.fuzz.checkpoint import result_to_json
+from repro.fuzz.config import CampaignConfig
 from repro.fuzz.supervisor import CampaignJob, run_fleet
 from repro.fuzz.transport import TcpJsonlTransport
 
@@ -42,9 +43,9 @@ def main():
             killed.append(True)
             worker.kill()
 
-    job = CampaignJob(job_id=FW, firmware=FW, budget=1500, seed=1,
-                      checkpoint_path="dist_chaos_cp.json",
-                      checkpoint_every=500)
+    job = CampaignJob(job_id=FW, config=CampaignConfig(
+                          FW, budget=1500, seed=1, checkpoint_every=500),
+                      checkpoint_path="dist_chaos_cp.json")
     try:
         fleet = run_fleet([job], workers=1, heartbeat_interval=0.2,
                           backoff_base=0.1, on_event=chaos,

@@ -4,10 +4,10 @@
 A rehosted firmware does not fail politely.  Allocations fail under
 memory pressure, flaky buses flip bits, interrupts arrive late or not
 at all — and a long fuzzing campaign must absorb all of it without
-losing its findings.  This demo builds a deterministic
-:class:`~repro.emulator.faults.FaultPlan` from the same DSL the CLI's
-``--faults`` flag accepts, points it at the quickstart firmware, and
-shows the campaign completing its full budget anyway, with every
+losing its findings.  This demo hands the campaign a fault plan in the same DSL the CLI's
+``--faults`` flag accepts (compiled into a deterministic
+:class:`~repro.emulator.faults.FaultPlan` seeded from the campaign
+seed), points it at the quickstart firmware, and shows the campaign completing its full budget anyway, with every
 injected fault accounted for in the campaign diagnostics.
 
 Run:  python examples/fault_injection.py
@@ -26,12 +26,11 @@ FAULT_SPEC = "alloc:every=30;irq:delay=2,p=0.02"
 
 
 def main() -> None:
-    plan = plan_for(FAULT_SPEC, seed=SEED)
     print(f"== fuzzing {FIRMWARE} under injected faults ==")
-    print(f"fault plan: {plan.describe()}")
+    print(f"fault plan: {plan_for(FAULT_SPEC, seed=SEED).describe()}")
 
     result = run_campaign(FIRMWARE, budget=BUDGET, seed=SEED,
-                          fault_plan=plan)
+                          faults=FAULT_SPEC)
 
     print(f"\nfuzzer: {result.fuzzer}, execs: {result.execs}/{BUDGET}, "
           f"crashes: {result.crashes}")

@@ -32,6 +32,13 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.fuzz.config import (
+    EXEC_MODES,
+    SEED_SCHEDULES,
+    SURFACES,
+    CampaignConfig,
+)
+
 
 def _cmd_list(_args) -> int:
     from repro.firmware.registry import all_firmware
@@ -101,36 +108,91 @@ def _write_observer(observer, args) -> None:
         print(f"trace written to {args.trace}")
 
 
+#: Every campaign flag, declared once: the :class:`CampaignConfig`
+#: field it sets and its argparse options.  A flag left at ``None``
+#: takes the config's code default; ``--budget`` and ``--seed`` have
+#: CLI-specific defaults.
+_CAMPAIGN_FLAGS = {
+    "budget": dict(type=int, default=2000, help="fuzz executions"),
+    "seed": dict(type=int, default=1, help="campaign RNG seed"),
+    "faults": dict(metavar="SPEC",
+                   help="fault plan DSL, e.g. 'alloc:every=50;"
+                        "bitflip:0x20000000-0x20001000:p=0.001;"
+                        "irq:drop=0.05' (compiled per campaign)"),
+    "checkpoint_every": dict(type=int, default=CampaignConfig.checkpoint_every,
+                             help="execs between checkpoints (0 = default "
+                                  "cadence); results are deterministic per "
+                                  "(seed, cadence) pair"),
+    "crash_budget": dict(type=int,
+                         help="host crashes tolerated before degradation"),
+    "watchdog_insns": dict(type=int, help="per-program instruction budget "
+                                          "before GuestHang"),
+    "watchdog_cycles": dict(type=float,
+                            help="per-program cycle budget before GuestHang"),
+    "exec_mode": dict(default=CampaignConfig.exec_mode, choices=EXEC_MODES,
+                      help="target reset strategy: per-program journal + "
+                           "rebuild-per-refresh, or a golden fork-server "
+                           "snapshot with dirty-page delta restores "
+                           "(same census, higher execs/s)"),
+    "seed_schedule": dict(default=CampaignConfig.seed_schedule,
+                          choices=SEED_SCHEDULES,
+                          help="corpus seed selection; 'rarity' weights "
+                               "programs by how rare their coverage is"),
+    "surface": dict(default=CampaignConfig.surface, choices=SURFACES,
+                    help="fuzz surface: the syscall/task API (default) or "
+                         "the driver-op surface of a build with modeled "
+                         "peripherals (docs/peripherals.md); fuzz-all "
+                         "sweeps only firmware modeling peripherals"),
+}
+
+
+def _add_campaign_flags(parser, *names: str) -> None:
+    """Declare the named campaign flags (from ``_CAMPAIGN_FLAGS``)."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"),
+                            **_CAMPAIGN_FLAGS[name])
+    parser.set_defaults(campaign_flags=names)
+
+
+def _campaign_knobs(args) -> dict:
+    """The campaign knobs a parsed command line sets."""
+    knobs = {name: getattr(args, name) for name in args.campaign_flags}
+    return {name: value for name, value in knobs.items() if value is not None}
+
+
+def _campaign_config(args, firmware: str):
+    """The command line's :class:`CampaignConfig`; exits 2 if invalid."""
+    from repro.errors import FuzzerError
+
+    try:
+        return CampaignConfig(firmware, **_campaign_knobs(args))
+    except FuzzerError as exc:
+        print(f"invalid campaign: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_fuzz(args) -> int:
     import json
 
-    from repro.emulator.faults import plan_for
     from repro.fuzz.campaign import run_campaign
     from repro.obs.observer import ensure_parent
 
-    fault_plan = plan_for(args.faults, seed=args.seed) if args.faults else None
     observer = _make_observer(args)
+    config = _campaign_config(args, args.firmware)
     result = run_campaign(
-        args.firmware,
-        budget=args.budget,
-        seed=args.seed,
-        fault_plan=fault_plan,
+        config,
         checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        crash_budget=args.crash_budget,
-        watchdog_insns=args.watchdog_insns,
-        watchdog_cycles=args.watchdog_cycles,
-        observer=observer,
         corpus_dir=args.corpus_dir,
-        seed_schedule=args.seed_schedule,
-        exec_mode=args.exec_mode,
-        surface=args.surface,
+        observer=observer,
     )
     print(f"fuzzer: {result.fuzzer}, seed: {result.seed}, "
           f"budget: {result.budget}, execs: {result.execs}, "
           f"coverage: {result.coverage}, crashes: {result.crashes}")
-    if fault_plan is not None:
-        print(f"fault plan: {fault_plan.describe()}")
+    if config.faults:
+        from repro.emulator.faults import plan_for
+
+        print(f"fault plan: "
+              f"{plan_for(config.faults, seed=config.seed).describe()}")
     reproducible = [f for f in result.findings if f.reproducible]
     print(f"{len(reproducible)} reproducible unique finding(s):")
     for finding in reproducible:
@@ -214,14 +276,9 @@ def _cmd_fuzz_all(args) -> int:
     if args.shard:
         return _fuzz_sharded(args, observer)
     jobs = make_jobs(
-        budget=args.budget,
-        seed=args.seed,
         firmware=args.firmware or None,
         checkpoint_dir=args.checkpoint_dir,
-        faults=args.faults,
-        crash_budget=args.crash_budget,
-        exec_mode=args.exec_mode,
-        surface=args.surface,
+        **_campaign_knobs(args),
     )
     fleet = None
     interrupted = False
@@ -230,30 +287,13 @@ def _cmd_fuzz_all(args) -> int:
     previous_handlers = _install_drain_handlers(drain_state)
     try:
         if args.workers <= 1:
-            # sequential reference path: same jobs, no worker processes —
-            # the fleet's determinism contract is that --workers N output
-            # is byte-identical to this
-            from repro.emulator.faults import plan_for
-            from repro.fuzz.campaign import run_campaign
-
+            # sequential reference path: same jobs and job runner, no
+            # worker processes — the fleet's determinism contract is
+            # that --workers N output is byte-identical to this
             results = []
             try:
                 for job in jobs:
-                    kwargs = {}
-                    if job.faults:
-                        kwargs["fault_plan"] = plan_for(job.faults,
-                                                        seed=job.seed)
-                    if job.crash_budget is not None:
-                        kwargs["crash_budget"] = job.crash_budget
-                    if job.exec_mode != "journal":
-                        kwargs["exec_mode"] = job.exec_mode
-                    if job.surface != "syscall":
-                        kwargs["surface"] = job.surface
-                    results.append(run_campaign(
-                        job.firmware, budget=job.budget, seed=job.seed,
-                        checkpoint_path=job.checkpoint_path,
-                        checkpoint_every=job.checkpoint_every,
-                        observer=observer, **kwargs))
+                    results.append(job.run(observer=observer))
             except KeyboardInterrupt:
                 # the drain contract: the last full checkpoint of the
                 # in-flight campaign is already on disk; a rerun with
@@ -311,12 +351,12 @@ def _cmd_fuzz_all(args) -> int:
     for job, result in zip(jobs, results):
         if result is None:
             if interrupted and job.job_id in unfinished:
-                print(f"{job.firmware:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
-                      f"INTERRUPTED (checkpoint resumes it)")
+                print(f"{job.config.firmware:24s} {'-':>6s} {'-':>8s} "
+                      f"{'-':>6s}  INTERRUPTED (checkpoint resumes it)")
                 continue
             degraded = True
-            print(f"{job.firmware:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
-                  f"DEGRADED (abandoned after retries)")
+            print(f"{job.config.firmware:24s} {'-':>6s} {'-':>8s} "
+                  f"{'-':>6s}  DEGRADED (abandoned after retries)")
             continue
         total = result.found_count() + len(result.missed)
         print(f"{result.firmware:24s} {result.execs:6d} "
@@ -363,19 +403,15 @@ def _fuzz_sharded(args, observer) -> int:
         print("--shard fuzzes ONE firmware with N cooperating workers; "
               "pass exactly one --firmware NAME", file=sys.stderr)
         return 2
+    config = _campaign_config(args, args.firmware[0])
     sharded = run_sharded_fleet(
-        args.firmware[0],
-        budget=args.budget,
+        config,
+        budget=config.budget,
         shards=args.shard,
         workers=args.workers,
-        seed=args.seed,
         sync_every=args.sync_every,
         corpus_dir=args.corpus_dir,
         checkpoint_dir=args.checkpoint_dir,
-        faults=args.faults,
-        crash_budget=args.crash_budget,
-        exec_mode=args.exec_mode,
-        surface=args.surface,
         observer=observer,
         events_path=args.events_log,
         fleet_options=dict(
@@ -520,20 +556,8 @@ def _cmd_submit(args) -> int:
     from repro.errors import FuzzerError, TransportError
     from repro.obs.observer import ensure_parent
 
-    spec = {"firmware": args.firmware, "budget": args.budget,
-            "seed": args.seed}
-    for key in ("faults", "crash_budget", "watchdog_insns",
-                "watchdog_cycles"):
-        value = getattr(args, key)
-        if value is not None:
-            spec[key] = value
-    if args.exec_mode != "journal":
-        spec["exec_mode"] = args.exec_mode
-    if args.surface != "syscall":
-        spec["surface"] = args.surface
-    if args.checkpoint_every:
-        spec["checkpoint_every"] = args.checkpoint_every
     try:
+        spec = _campaign_config(args, args.firmware).to_json()
         with _serve_client(args) as client:
             reply = client.submit(spec, dedup_key=args.dedup_key)
             if reply.get("type") == "rejected":
@@ -753,40 +777,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="run a fuzzing campaign")
     fuzz.add_argument("firmware")
-    fuzz.add_argument("--budget", type=int, default=2000)
-    fuzz.add_argument("--seed", type=int, default=1)
-    fuzz.add_argument("--faults", default=None, metavar="SPEC",
-                      help="fault plan DSL, e.g. "
-                           "'alloc:every=50;bitflip:0x20000000-0x20001000:"
-                           "p=0.001;irq:drop=0.05'")
+    _add_campaign_flags(fuzz, "budget", "seed", "faults", "checkpoint_every",
+                        "crash_budget", "watchdog_insns", "watchdog_cycles",
+                        "exec_mode", "seed_schedule", "surface")
     fuzz.add_argument("--checkpoint", default=None, metavar="PATH",
                       help="checkpoint file; resumes if it exists")
-    fuzz.add_argument("--checkpoint-every", type=int, default=0,
-                      help="execs between checkpoints (0 = default cadence)")
-    fuzz.add_argument("--crash-budget", type=int, default=None,
-                      help="host crashes tolerated before degradation")
-    fuzz.add_argument("--watchdog-insns", type=int, default=None,
-                      help="per-program instruction budget before GuestHang")
-    fuzz.add_argument("--watchdog-cycles", type=float, default=None,
-                      help="per-program cycle budget before GuestHang")
     fuzz.add_argument("--corpus-dir", default=None, metavar="DIR",
                       help="persistent corpus store: existing entries seed "
                            "the campaign, discoveries persist back")
-    fuzz.add_argument("--exec-mode", default="journal",
-                      choices=["journal", "forkserver"],
-                      help="target reset strategy: per-program journal + "
-                           "rebuild-per-refresh, or a golden fork-server "
-                           "snapshot with dirty-page delta restores "
-                           "(same census, higher execs/s)")
-    fuzz.add_argument("--seed-schedule", default="uniform",
-                      choices=["uniform", "rarity"],
-                      help="corpus seed selection; 'rarity' weights "
-                           "programs by how rare their coverage is")
-    fuzz.add_argument("--surface", default="syscall",
-                      choices=["syscall", "driver"],
-                      help="fuzz surface: the syscall/task API (default) "
-                           "or the driver-op surface of a build with "
-                           "modeled peripherals (docs/peripherals.md)")
     fuzz.add_argument("--diagnostics", default=None, metavar="PATH",
                       help="write campaign diagnostics JSON here")
     fuzz.add_argument("--results", default=None, metavar="PATH",
@@ -803,26 +801,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_all.add_argument("--workers", type=int, default=1,
                           help="worker processes (1 = in-process sequential)")
-    fuzz_all.add_argument("--budget", type=int, default=2000)
-    fuzz_all.add_argument("--seed", type=int, default=1)
+    _add_campaign_flags(fuzz_all, "budget", "seed", "faults", "exec_mode",
+                        "surface", "crash_budget")
     fuzz_all.add_argument("--firmware", action="append", default=None,
                           metavar="NAME",
                           help="restrict the sweep (repeatable); "
                                "default is the whole Table-1 catalog")
-    fuzz_all.add_argument("--faults", default=None, metavar="SPEC",
-                          help="fault plan DSL, compiled per-firmware")
     fuzz_all.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                           help="per-firmware checkpoint files; fleet "
                                "workers resume from these after a crash")
-    fuzz_all.add_argument("--exec-mode", default="journal",
-                          choices=["journal", "forkserver"],
-                          help="target reset strategy (see `fuzz`)")
-    fuzz_all.add_argument("--surface", default="syscall",
-                          choices=["syscall", "driver"],
-                          help="fuzz surface (see `fuzz`); 'driver' "
-                               "sweeps only firmware modeling peripherals")
-    fuzz_all.add_argument("--crash-budget", type=int, default=None,
-                          help="host crashes tolerated before degradation")
     fuzz_all.add_argument("--shard", type=int, default=0, metavar="N",
                           help="fuzz ONE firmware (exactly one --firmware) "
                                "with N cooperating shards syncing through "
@@ -941,20 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("firmware")
     submit.add_argument("--connect", required=True, metavar="HOST:PORT")
     submit.add_argument("--token", default=None)
-    submit.add_argument("--budget", type=int, default=2000)
-    submit.add_argument("--seed", type=int, default=1)
-    submit.add_argument("--faults", default=None, metavar="SPEC")
-    submit.add_argument("--crash-budget", type=int, default=None)
-    submit.add_argument("--watchdog-insns", type=int, default=None)
-    submit.add_argument("--watchdog-cycles", type=float, default=None)
-    submit.add_argument("--exec-mode", default="journal",
-                        choices=["journal", "forkserver"])
-    submit.add_argument("--surface", default="syscall",
-                        choices=["syscall", "driver"])
-    submit.add_argument("--checkpoint-every", type=int, default=0,
-                        help="execs between checkpoints (0 = default "
-                             "cadence); results are deterministic per "
-                             "(seed, cadence) pair")
+    _add_campaign_flags(submit, "budget", "seed", "faults", "crash_budget",
+                        "watchdog_insns", "watchdog_cycles", "exec_mode",
+                        "surface", "checkpoint_every")
     submit.add_argument("--dedup-key", default=None,
                         help="idempotency key: resubmitting the same key "
                              "returns the original job, never a duplicate")

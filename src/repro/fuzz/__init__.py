@@ -10,8 +10,12 @@
 * :mod:`repro.fuzz.campaign` — campaign orchestration: run a fuzzer
   against a Table-1 firmware with EMBSAN attached, dedup and reproduce
   findings, map them back to the bug catalog.
+* :mod:`repro.fuzz.config` — :class:`CampaignConfig`, the one frozen
+  record of every campaign knob that the CLI, the serve daemon and the
+  fleet all carry.
 """
 
+from repro.fuzz.config import CampaignConfig
 from repro.fuzz.coverage import CoverageMap, EmulatorCoverage, KcovCoverage
 from repro.fuzz.program import Call, Program
 from repro.fuzz.campaign import (
@@ -25,6 +29,7 @@ from repro.fuzz.tardis import TardisFuzzer
 
 __all__ = [
     "Call",
+    "CampaignConfig",
     "CampaignResult",
     "CoverageMap",
     "EmulatorCoverage",

@@ -8,7 +8,7 @@ each to the bug catalog so the census can be compared row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bugs.catalog import (
@@ -17,24 +17,26 @@ from repro.bugs.catalog import (
     record_by_id,
     table4_bugs_for,
 )
-from repro.errors import CheckpointError, FuzzerError
+from repro.emulator.faults import plan_for
+from repro.errors import CheckpointError
 from repro.firmware.registry import firmware_spec
 from repro.fuzz.checkpoint import (
     load_checkpoint,
     restore_engine,
     save_checkpoint,
 )
+from repro.fuzz.config import (
+    DEFAULT_CHECKPOINT_EVERY,
+    CampaignConfig,
+    campaign_config,
+)
 from repro.fuzz.diagnostics import CampaignDiagnostics
-from repro.fuzz.engine import DEFAULT_CRASH_BUDGET, Finding
+from repro.fuzz.engine import Finding
 from repro.fuzz.syzkaller import SyzkallerFuzzer
 from repro.fuzz.tardis import TardisFuzzer
 
 #: default per-firmware execution budget for a scaled-down campaign
-DEFAULT_BUDGET = 1500
-#: default checkpoint cadence when a checkpoint path is configured;
-#: matches the engine's refresh interval so checkpoint boundaries align
-#: with refreshes the campaign performs anyway
-DEFAULT_CHECKPOINT_EVERY = 500
+DEFAULT_BUDGET = CampaignConfig.budget
 
 
 @dataclass
@@ -89,31 +91,30 @@ def _match_findings(records: Sequence[BugRecord],
 
 
 def run_campaign(
-    firmware: str,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    sanitizers: Optional[Sequence[str]] = None,
-    fault_plan=None,
+    firmware,
+    *,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-    crash_budget: Optional[int] = None,
-    watchdog_insns: Optional[int] = None,
-    watchdog_cycles: Optional[float] = None,
-    observer=None,
     corpus_dir: Optional[str] = None,
-    seed_schedule: str = "uniform",
-    shard: Optional[Tuple[int, int]] = None,
-    exec_mode: str = "journal",
-    surface: str = "syscall",
+    observer=None,
     on_checkpoint_saved: Optional[Callable[[str], None]] = None,
+    **knobs,
 ) -> CampaignResult:
     """Fuzz one Table-1 firmware with its designated fuzzer + EMBSAN.
+
+    ``firmware`` is a firmware name or a :class:`CampaignConfig`;
+    ``knobs`` are :class:`CampaignConfig` fields (``budget``, ``seed``,
+    ``faults``, ``exec_mode``, ...) set or overridden on it.  The
+    campaign's fault plan is compiled from ``faults`` here and seeded
+    from ``seed``; with ``seeds`` set, the campaign repeats across them
+    (see :func:`run_campaign_repeated`) sharing that one plan.
 
     When ``checkpoint_path`` is set, campaign state is serialized there
     every ``checkpoint_every`` execs (default
     :data:`DEFAULT_CHECKPOINT_EVERY`) and an existing checkpoint at that
     path resumes the campaign mid-budget; the resumed run produces the
-    same census and findings as an uninterrupted one.
+    same census and findings as an uninterrupted one.  A checkpoint
+    taken under different knobs (other than ``budget`` and
+    ``exec_mode``) is refused with :class:`FuzzerError`.
 
     ``corpus_dir`` attaches a persistent :class:`repro.corpus.CorpusStore`:
     existing entries seed the campaign (with an unmutated triage pass),
@@ -145,8 +146,21 @@ def run_campaign(
     driver-surface rows of the bug catalog (``driver_bugs_for``) — see
     ``docs/peripherals.md``.
     """
+    config = campaign_config(firmware, **knobs)
+    fault_plan = plan_for(config.faults, seed=config.seed)
+    if config.seeds is not None:
+        # repeated campaigns restart from scratch: their early-stop
+        # logic is inherently sequential across seeds
+        return _run_repeated(config, fault_plan, corpus_dir, observer)
+    return _run_single(config, fault_plan, checkpoint_path, corpus_dir,
+                       observer, on_checkpoint_saved)
+
+
+def _run_single(config: CampaignConfig, fault_plan, checkpoint_path,
+                corpus_dir, observer, on_checkpoint_saved) -> CampaignResult:
     import time
 
+    firmware, budget = config.firmware, config.budget
     spec = firmware_spec(firmware)
     phase_timings = None if observer is None else {}
     phase_started = time.perf_counter() if observer is not None else 0.0
@@ -165,53 +179,59 @@ def run_campaign(
                                "seconds": round(elapsed, 6)})
         phase_started = now
 
-    if surface == "driver":
+    if config.surface == "driver":
         records = driver_bugs_for(firmware)
     else:
         records = table4_bugs_for(firmware)
+    sanitizers = config.sanitizers
     if sanitizers is None:
         needed = {r.tool for r in records}
         sanitizers = tuple(
             ["kasan"] + [t for t in ("kcsan", "kmsan") if t in needed]
         )
-    fuzzer_cls = SyzkallerFuzzer if spec.fuzzer == "syzkaller" else TardisFuzzer
-    kwargs = dict(
-        sanitizers=sanitizers,
-        seed=seed,
-        fault_plan=fault_plan,
-        crash_budget=(DEFAULT_CRASH_BUDGET if crash_budget is None
-                      else crash_budget),
-    )
-    if watchdog_insns is not None:
-        kwargs["watchdog_insns"] = watchdog_insns
-    if watchdog_cycles is not None:
-        kwargs["watchdog_cycles"] = watchdog_cycles
-    if observer is not None:
-        kwargs["observer"] = observer
     corpus_store = None
     if corpus_dir is not None:
         from repro.corpus import CorpusStore
 
+        shard = config.shard
         writer = None if shard is None else f"shard{shard[0]:02d}"
-        corpus_store = CorpusStore(
-            corpus_dir, firmware=firmware, writer=writer
+        corpus_store = CorpusStore(corpus_dir, firmware=firmware,
+                                   writer=writer)
+    fuzzer_cls = (SyzkallerFuzzer if spec.fuzzer == "syzkaller"
+                  else TardisFuzzer)
+
+    # what a checkpoint resume must agree on: the resolved knobs
+    checkpoint_every = config.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+    identity = replace(config, sanitizers=sanitizers,
+                       checkpoint_every=checkpoint_every).identity()
+
+    def build(plan):
+        fuzzer = fuzzer_cls(
+            firmware,
+            sanitizers=sanitizers,
+            seed=config.seed,
+            fault_plan=plan,
+            crash_budget=config.crash_budget,
+            watchdog_insns=config.watchdog_insns,
+            watchdog_cycles=config.watchdog_cycles,
+            observer=observer,
+            corpus_store=corpus_store,
+            seed_schedule=config.seed_schedule,
+            shard=config.shard,
+            exec_mode=config.exec_mode,
+            surface=config.surface,
         )
-        kwargs["corpus_store"] = corpus_store
-    if seed_schedule != "uniform":
-        kwargs["seed_schedule"] = seed_schedule
-    if shard is not None:
-        kwargs["shard"] = (shard[0], shard[1])
-    if exec_mode != "journal":
-        kwargs["exec_mode"] = exec_mode
-    if surface != "syscall":
-        kwargs["surface"] = surface
-    fuzzer = fuzzer_cls(firmware, **kwargs)
+        fuzzer.config_identity = identity
+        return fuzzer
+
+    fuzzer = build(fault_plan)
     _phase_done("build")
 
     on_checkpoint = None
     checkpoint_discarded = None
-    if checkpoint_path is not None:
-        checkpoint_every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+    if checkpoint_path is None:
+        checkpoint_every = 0
+    else:
         try:
             state = load_checkpoint(checkpoint_path)
             if state is not None:
@@ -226,12 +246,8 @@ def run_campaign(
             if observer is not None:
                 # the half-restored fuzzer's machine is being discarded
                 observer.harvest_target(fuzzer.target)
-            if fault_plan is not None:
-                from repro.emulator.faults import FaultPlan
-
-                fault_plan = FaultPlan.parse(fault_plan.describe())
-                kwargs["fault_plan"] = fault_plan
-            fuzzer = fuzzer_cls(firmware, **kwargs)
+            fault_plan = plan_for(config.faults, seed=config.seed)
+            fuzzer = build(fault_plan)
 
         def on_checkpoint(engine):
             if observer is not None:
@@ -296,7 +312,7 @@ def run_campaign(
         observer.harvest_target(fuzzer.target)
     diagnostics = CampaignDiagnostics(
         firmware=firmware,
-        seed=seed,
+        seed=config.seed,
         budget=budget,
         quarantined=list(fuzzer.quarantined),
         host_crashes=fuzzer.host_crashes,
@@ -316,17 +332,18 @@ def run_campaign(
         findings=findings,
         matched=matched,
         missed=missed,
-        seed=seed,
+        seed=config.seed,
         budget=budget,
         diagnostics=diagnostics,
     )
 
 
 def run_campaign_repeated(
-    firmware: str,
+    firmware,
     budget: int = DEFAULT_BUDGET,
     seeds: Sequence[int] = (1, 2, 3),
     carry_corpus: bool = False,
+    corpus_dir: Optional[str] = None,
     **kwargs,
 ) -> CampaignResult:
     """Repeat a campaign across seeds, merging findings.
@@ -334,16 +351,17 @@ def run_campaign_repeated(
     The paper repeats every quantitative experiment 10 times per
     accepted fuzzing-evaluation practice; findings merge across
     repetitions.  Stops early once every seeded defect is matched.
-    Extra keyword arguments (fault plans, watchdog budgets, ...) are
-    forwarded to :func:`run_campaign`.
+    Extra keyword arguments (campaign knobs such as ``faults`` or
+    watchdog budgets, and ``observer``) are forwarded to
+    :func:`run_campaign`.
 
-    With ``carry_corpus=True`` every repetition fuzzes through the same
-    persistent corpus store, so seed *n+1* starts from everything seeds
+    Every repetition fuzzes through the same persistent corpus store
+    when one is attached, so seed *n+1* starts from everything seeds
     *1..n* discovered (coverage programs replay unmutated in its triage
-    pass) instead of from scratch.  Uses the caller's ``corpus_dir`` if
-    one is passed, otherwise a temporary store scoped to this call; the
-    merged diagnostics' ``inherited_corpus`` lists, per seed in order,
-    how many store entries that repetition inherited.
+    pass) instead of from scratch.  ``carry_corpus=True`` attaches a
+    temporary store scoped to this call when no ``corpus_dir`` is
+    passed; the merged diagnostics' ``inherited_corpus`` lists, per
+    seed in order, how many store entries that repetition inherited.
 
     Diagnostics merge too: the returned record's ``seeds`` lists every
     repetition that ran, counters sum, and every seed's quarantined
@@ -351,23 +369,26 @@ def run_campaign_repeated(
     from the merged result, not silently dropped.
     """
     tmp_corpus = None
-    if carry_corpus and not kwargs.get("corpus_dir"):
+    if carry_corpus and not corpus_dir:
         import tempfile
 
         tmp_corpus = tempfile.TemporaryDirectory(prefix="repro-corpus-")
-        kwargs = dict(kwargs, corpus_dir=tmp_corpus.name)
+        corpus_dir = tmp_corpus.name
     try:
-        return _run_repeated(firmware, budget, seeds, carry_corpus, kwargs)
+        return run_campaign(firmware, budget=budget, seeds=tuple(seeds),
+                            corpus_dir=corpus_dir, **kwargs)
     finally:
         if tmp_corpus is not None:
             tmp_corpus.cleanup()
 
 
-def _run_repeated(firmware, budget, seeds, carry_corpus, kwargs):
+def _run_repeated(config: CampaignConfig, fault_plan, corpus_dir,
+                  observer) -> CampaignResult:
     merged: Optional[CampaignResult] = None
-    for seed in seeds:
-        result = run_campaign(firmware, budget=budget, seed=seed, **kwargs)
-        if carry_corpus and result.diagnostics is not None:
+    for seed in config.seeds:
+        result = _run_single(replace(config, seed=seed, seeds=None),
+                             fault_plan, None, corpus_dir, observer, None)
+        if corpus_dir is not None and result.diagnostics is not None:
             stats = result.diagnostics.corpus or {}
             result.diagnostics.inherited_corpus = [
                 stats.get("imported", 0)
@@ -394,22 +415,20 @@ def _run_repeated(firmware, budget, seeds, carry_corpus, kwargs):
 
 
 def run_all_campaigns(
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    seeds: Optional[Sequence[int]] = None,
     checkpoint_dir: Optional[str] = None,
     workers: int = 1,
-    faults: Optional[str] = None,
     fleet_options: Optional[dict] = None,
     observer=None,
-    **kwargs,
+    **knobs,
 ) -> List[CampaignResult]:
     """Run every Table-1 firmware's campaign (the full Table-3 sweep).
 
-    With ``checkpoint_dir``, each firmware checkpoints into its own file
-    (``campaign_<firmware>.json``), making a multi-firmware sweep
-    interruption-safe: re-running the sweep resumes each firmware from
-    its last checkpoint instead of starting over.
+    ``knobs`` are :class:`CampaignConfig` fields shared by every
+    firmware's campaign (``budget``, ``seed``, ``seeds``, ``faults``,
+    ...).  With ``checkpoint_dir``, each firmware checkpoints into its
+    own file (``campaign_<firmware>.json``), making a multi-firmware
+    sweep interruption-safe: re-running the sweep resumes each firmware
+    from its last checkpoint instead of starting over.
 
     With ``workers > 1`` the sweep is delegated to the
     :mod:`repro.fuzz.supervisor` fleet: one job per firmware across
@@ -418,73 +437,16 @@ def run_all_campaigns(
     back in catalog order and are byte-identical to the sequential sweep
     (per-job RNG isolation is the determinism contract); a job that
     exhausts its retry budget yields ``None`` in its slot instead of
-    aborting the sweep.  ``faults`` is a fault-plan DSL string, compiled
-    to a fresh per-firmware plan in either mode so worker count never
-    changes which faults fire; ``fleet_options`` passes supervisor
-    knobs (``heartbeat_timeout``, ``max_retries``, ``events_path``...).
+    aborting the sweep.  Either way every job runs through the same
+    job runner, which compiles a fresh per-firmware fault plan from
+    ``faults``, so worker count never changes which faults fire;
+    ``fleet_options`` passes supervisor knobs (``heartbeat_timeout``,
+    ``max_retries``, ``events_path``...).
     """
-    import os
+    from repro.fuzz.supervisor import make_jobs, run_fleet
 
-    from repro.emulator.faults import plan_for
-    from repro.firmware.registry import all_firmware
-
-    if faults and kwargs.get("fault_plan") is not None:
-        raise FuzzerError("pass either faults= (DSL) or fault_plan=, not both")
-
+    jobs = make_jobs(checkpoint_dir=checkpoint_dir, **knobs)
     if workers > 1:
-        if kwargs.pop("fault_plan", None) is not None:
-            raise FuzzerError(
-                "a live fault_plan cannot cross process boundaries; "
-                "pass faults=<DSL spec> so each worker builds its own plan"
-            )
-        from repro.fuzz.supervisor import make_jobs, run_fleet
-
-        jobs = make_jobs(
-            budget=budget, seed=seed, seeds=seeds,
-            checkpoint_dir=checkpoint_dir, faults=faults,
-            crash_budget=kwargs.pop("crash_budget", None),
-            watchdog_insns=kwargs.pop("watchdog_insns", None),
-            watchdog_cycles=kwargs.pop("watchdog_cycles", None),
-            exec_mode=kwargs.pop("exec_mode", "journal"),
-            surface=kwargs.pop("surface", "syscall"),
-        )
-        if kwargs:
-            raise FuzzerError(
-                f"options not supported with workers>1: {sorted(kwargs)}"
-            )
         return run_fleet(jobs, workers=workers, observer=observer,
                          **(fleet_options or {})).results
-
-    def _path(name: str) -> Optional[str]:
-        if checkpoint_dir is None:
-            return None
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        safe = name.replace("/", "_")
-        return os.path.join(checkpoint_dir, f"campaign_{safe}.json")
-
-    def _kwargs() -> dict:
-        # per-firmware fault plan, rebuilt from the spec exactly as a
-        # fleet worker would, so sequential and fleet sweeps match
-        if not faults:
-            return kwargs
-        return dict(kwargs, fault_plan=plan_for(faults, seed=seed))
-
-    # a driver-surface sweep covers only the firmware that model
-    # peripherals, matching supervisor.make_jobs' default job list
-    specs = [
-        spec for spec in all_firmware()
-        if kwargs.get("surface", "syscall") != "driver"
-        or spec.driver_factory is not None
-    ]
-    if seeds is not None:
-        return [
-            run_campaign_repeated(spec.name, budget=budget, seeds=seeds,
-                                  observer=observer, **_kwargs())
-            for spec in specs
-        ]
-    return [
-        run_campaign(spec.name, budget=budget, seed=seed,
-                     checkpoint_path=_path(spec.name), observer=observer,
-                     **_kwargs())
-        for spec in specs
-    ]
+    return [job.run(observer=observer) for job in jobs]

@@ -16,9 +16,11 @@ recipe exactly as the uninterrupted run refreshes it.
 File format (``version`` 1): one JSON object with
 ``firmware``/``fuzzer``/``seed``/``budget`` identity fields (validated
 on resume), counters, ``rng_state``/``fault_rng_state``, ``corpus`` and
-``triage`` as program lists, ``findings`` as full report records, and
-``quarantined`` diagnostics records.  When the engine has a persistent
-corpus store attached, the inline ``corpus`` list is replaced by
+``triage`` as program lists, ``findings`` as full report records,
+``quarantined`` diagnostics records and ``config_digest`` (per-knob
+digests of the campaign config, also validated on resume; older
+checkpoints lack it and resume unchecked).  When the engine has a
+persistent corpus store attached, the inline ``corpus`` list is replaced by
 ``corpus_digests`` — an ordered list of content addresses resolved
 against the store on resume (see ``docs/corpus.md``).
 See ``docs/robustness.md``.
@@ -193,6 +195,8 @@ def engine_state(
         ]
     else:
         state["corpus"] = [p.to_json() for p in fuzzer.corpus]
+    if fuzzer.config_identity is not None:
+        state["config_digest"] = dict(fuzzer.config_identity)
     if fuzzer.fault_plan is not None:
         state["fault_rng_state"] = _rng_state_to_json(
             fuzzer.fault_plan.save_rng_state()
@@ -203,7 +207,8 @@ def engine_state(
 def restore_engine(fuzzer: FuzzerEngine, state: dict, firmware: str) -> None:
     """Load a checkpoint into a freshly constructed fuzzer.
 
-    The fuzzer must have been built with the same firmware and seed the
+    The fuzzer must have been built with the same firmware, seed and
+    (when both sides carry a config identity) campaign knobs the
     checkpoint was taken from; mismatches raise :class:`FuzzerError`
     rather than silently producing a different campaign.
     """
@@ -224,6 +229,16 @@ def restore_engine(fuzzer: FuzzerEngine, state: dict, firmware: str) -> None:
             f"checkpoint was taken with seed {state['seed']}, "
             f"engine has seed {fuzzer.seed}"
         )
+    stored, identity = state.get("config_digest"), fuzzer.config_identity
+    if identity is not None and isinstance(stored, dict):
+        changed = sorted(name for name in set(stored) | set(identity)
+                         if stored.get(name) != identity.get(name))
+        if changed:
+            raise FuzzerError(
+                f"checkpoint was taken under different campaign knobs: "
+                f"{', '.join(changed)} changed (only budget and "
+                f"exec_mode may change on resume)"
+            )
     try:
         fuzzer.execs = state["execs"]
         fuzzer.crashes = state["crashes"]

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.emulator.snapshot import Checkpoint, ForkServer
-from repro.errors import FuzzerError, GuestFault, GuestHang
+from repro.errors import GuestFault, GuestHang
+from repro.firmware.builder import attach_runtime
+from repro.firmware.registry import build_firmware
+from repro.fuzz.config import EXEC_MODES  # noqa: F401 - re-exported
+from repro.fuzz.config import CampaignConfig, check_choice, check_shard
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.diagnostics import CrashRecord, capture_crash
-from repro.fuzz.ifspec import INTERESTING, InterfaceSpec
+from repro.fuzz.ifspec import INTERESTING, InterfaceSpec, driver_interface
 from repro.fuzz.program import (
     Mutator,
     Program,
@@ -25,20 +29,8 @@ from repro.fuzz.program import (
 from repro.sanitizers.runtime.reports import BugType, SanitizerReport
 
 #: host-level crashes tolerated before a campaign degrades to skip mode
-DEFAULT_CRASH_BUDGET = 25
-#: default per-program watchdog budgets armed by the fuzzer frontends;
-#: generous (3+ orders of magnitude above a normal program) so only a
-#: genuinely wedged guest trips
-DEFAULT_WATCHDOG_INSNS = 2_000_000
-DEFAULT_WATCHDOG_CYCLES = 5_000_000
-
-#: target reset strategies: per-program journal + rebuild-per-refresh,
-#: or a golden fork-server snapshot with dirty-page delta restores
-EXEC_MODES = ("journal", "forkserver")
-
-#: fuzz surfaces a frontend can target: the default syscall/task API,
-#: or the driver-op surface of a driver=True build (modeled peripherals)
-SURFACES = ("syscall", "driver")
+#: (the default is declared on :class:`~repro.fuzz.config.CampaignConfig`)
+DEFAULT_CRASH_BUDGET = CampaignConfig.crash_budget
 
 
 class Finding:
@@ -91,12 +83,9 @@ class FuzzTarget:
       exactly (the CI identity matrix enforces this).
     """
 
-    def __init__(self, make: Callable[[], tuple], exec_mode: str = "journal"):
-        if exec_mode not in EXEC_MODES:
-            raise FuzzerError(
-                f"unknown exec mode {exec_mode!r} "
-                f"(expected one of {', '.join(EXEC_MODES)})"
-            )
+    def __init__(self, make: Callable[[], tuple],
+                 exec_mode: str = CampaignConfig.exec_mode):
+        check_choice("exec_mode", exec_mode)
         self.make = make
         self.exec_mode = exec_mode
         self.image = None
@@ -202,6 +191,11 @@ class FuzzTarget:
 class FuzzerEngine:
     """Corpus management + mutation + triage."""
 
+    #: per-knob digests of the campaign config this engine runs
+    #: (:meth:`repro.fuzz.config.CampaignConfig.identity`); checkpoints
+    #: carry them so a resume under changed knobs is refused
+    config_identity: Optional[dict] = None
+
     def __init__(
         self,
         target: FuzzTarget,
@@ -212,11 +206,9 @@ class FuzzerEngine:
         fault_plan=None,
         observer=None,
         corpus_store=None,
-        seed_schedule: str = "uniform",
+        seed_schedule: str = CampaignConfig.seed_schedule,
         shard=None,
     ):
-        from repro.errors import FuzzerError
-
         self.target = target
         self.spec = spec
         self.seed = seed
@@ -231,11 +223,7 @@ class FuzzerEngine:
         self._known_digests: set = set()
         #: store entries adopted from other sessions/shards
         self.corpus_imported = 0
-        if seed_schedule not in ("uniform", "rarity"):
-            raise FuzzerError(
-                f"unknown seed schedule {seed_schedule!r} "
-                f"(expected 'uniform' or 'rarity')"
-            )
+        check_choice("seed_schedule", seed_schedule)
         self.seed_schedule = seed_schedule
         self.scheduler = None
         if seed_schedule == "rarity":
@@ -246,11 +234,8 @@ class FuzzerEngine:
             # disjoint seed shards: worker i of n keeps every n-th
             # description-derived seed, so an intra-firmware fleet
             # starts from a partition instead of n identical corpora
+            check_shard(shard)
             index, count = shard
-            if not 0 <= index < count:
-                raise FuzzerError(
-                    f"shard index {index} outside 0..{count - 1}"
-                )
             self.corpus = [
                 program for position, program in enumerate(self.corpus)
                 if position % count == index
@@ -667,6 +652,70 @@ class FuzzerEngine:
             if fault is not None:
                 return _fault_report(fault).dedup_key() == key
         return False
+
+
+class FirmwareFuzzer(FuzzerEngine):
+    """A fuzzer frontend bound to one catalog firmware.
+
+    Builds the target (sanitizers attached before boot, fault plan and
+    watchdog armed after it) and the interface spec it fuzzes.  The
+    frontends differ only in :meth:`coverage_for` and
+    :meth:`syscall_interface`; the driver surface is shared.
+    """
+
+    def __init__(
+        self,
+        firmware: str,
+        sanitizers: Sequence[str] = ("kasan",),
+        seed: int = CampaignConfig.seed,
+        fault_plan=None,
+        crash_budget: int = CampaignConfig.crash_budget,
+        watchdog_insns: int = CampaignConfig.watchdog_insns,
+        watchdog_cycles: float = CampaignConfig.watchdog_cycles,
+        observer=None,
+        corpus_store=None,
+        seed_schedule: str = CampaignConfig.seed_schedule,
+        shard=None,
+        exec_mode: str = CampaignConfig.exec_mode,
+        surface: str = CampaignConfig.surface,
+    ):
+        check_choice("surface", surface)
+        self.firmware = firmware
+        self.sanitizers = tuple(sanitizers)
+        self.surface = surface
+        driver = surface == "driver"
+
+        def make():
+            image = build_firmware(firmware, boot=False, driver=driver)
+            runtime = attach_runtime(image, sanitizers=self.sanitizers)
+            coverage = self.coverage_for(image)
+            image.boot()
+            # arm hardening after boot so boot-time work never trips the
+            # per-program watchdog; the shared fault plan keeps one RNG
+            # stream across target rebuilds
+            if fault_plan is not None:
+                image.machine.set_fault_plan(fault_plan)
+            image.machine.set_watchdog(
+                insn_budget=watchdog_insns, cycle_budget=watchdog_cycles
+            )
+            return image, runtime, coverage
+
+        target = FuzzTarget(make, exec_mode=exec_mode)
+        kernel = target.image.kernel
+        spec = (driver_interface(kernel) if driver
+                else self.syscall_interface(kernel))
+        super().__init__(target, spec, seed=seed, fault_plan=fault_plan,
+                         crash_budget=crash_budget, observer=observer,
+                         corpus_store=corpus_store,
+                         seed_schedule=seed_schedule, shard=shard)
+
+    def coverage_for(self, image) -> CoverageMap:
+        """The coverage collector attached to a fresh (unbooted) image."""
+        raise NotImplementedError
+
+    def syscall_interface(self, kernel) -> InterfaceSpec:
+        """The interface spec of the firmware's syscall/task surface."""
+        raise NotImplementedError
 
 
 def _fault_report(fault: GuestFault) -> SanitizerReport:

@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import AdmissionError, FuzzerError, QueueError, \
     TransportError
 from repro.fuzz.checkpoint import result_to_json
+from repro.fuzz.config import CampaignConfig
 from repro.fuzz.queue import (
     CANCELLED,
     DONE,
@@ -63,39 +64,24 @@ from repro.fuzz.supervisor import (
 )
 from repro.fuzz.transport import PROTOCOL_VERSION, FrameStream
 
-#: spec keys a submission may carry; everything else is rejected so a
-#: typo'd knob fails loudly at admission instead of silently defaulting
-SPEC_FIELDS = frozenset({
-    "firmware", "budget", "seed", "seeds", "faults", "fault_seed",
-    "crash_budget", "watchdog_insns", "watchdog_cycles", "sanitizers",
-    "seed_schedule", "exec_mode", "checkpoint_every", "surface",
-})
-
-
 def validate_spec(spec) -> dict:
-    """Shape-check a job spec at admission time.
+    """Check a job spec at admission time.
 
-    Deliberately *syntactic*: an unknown firmware name passes admission
-    and fails in the runner, where it consumes the job's crash budget
-    and lands in quarantine.  Admission control guards the queue, the
-    crash budget guards the compute — a submitter cannot learn the
-    firmware catalog by probing rejections, and a catalog drift between
-    client and server degrades one job instead of the ingest path.
+    The spec is a :meth:`CampaignConfig.to_json` object; decoding it
+    through :class:`CampaignConfig` refuses unknown keys, wrong types,
+    unknown enum values and non-positive counts, so a typo'd knob fails
+    loudly at admission instead of silently defaulting.  Returns the
+    canonical spec (knobs at their defaults left out).
+
+    The firmware *name* is deliberately not checked: an unknown
+    firmware passes admission and fails in the runner, where it
+    consumes the job's crash budget and lands in quarantine.  Admission
+    control guards the queue, the crash budget guards the compute — a
+    submitter cannot learn the firmware catalog by probing rejections,
+    and a catalog drift between client and server degrades one job
+    instead of the ingest path.
     """
-    if not isinstance(spec, dict):
-        raise FuzzerError(f"spec must be an object, got "
-                          f"{type(spec).__name__}")
-    unknown = sorted(set(spec) - SPEC_FIELDS)
-    if unknown:
-        raise FuzzerError(f"unknown spec fields: {', '.join(unknown)}")
-    firmware = spec.get("firmware")
-    if not isinstance(firmware, str) or not firmware:
-        raise FuzzerError("spec.firmware must be a non-empty string")
-    budget = spec.get("budget")
-    if not isinstance(budget, int) or isinstance(budget, bool) \
-            or budget < 1:
-        raise FuzzerError("spec.budget must be a positive integer")
-    return dict(spec)
+    return CampaignConfig.from_json(spec).to_json()
 
 
 def build_campaign_job(job: QueueJob, checkpoint_dir: str) -> CampaignJob:
@@ -103,36 +89,19 @@ def build_campaign_job(job: QueueJob, checkpoint_dir: str) -> CampaignJob:
 
     The checkpoint path is derived from the *queue* job id, not the
     firmware: two jobs fuzzing the same firmware are distinct tenants
-    with distinct resume state.  Only known keys are read, so a spec
+    with distinct resume state.  Unknown keys are ignored, so a spec
     admitted under an older field set (e.g. the retired ISA-engine
-    knobs) still materializes; validation happens only at admission.
+    knobs or ``fault_seed``) still materializes.
     """
-    spec = job.spec
+    config = CampaignConfig.from_json(job.spec, ignore_unknown=True)
     os.makedirs(checkpoint_dir, exist_ok=True)
-    seeds = spec.get("seeds")
     return CampaignJob(
         job_id=job.job_id,
-        firmware=spec["firmware"],
-        budget=spec["budget"],
-        seed=spec.get("seed", 0),
-        seeds=None if seeds is None else tuple(seeds),
+        config=config,
         checkpoint_path=(
-            None if seeds is not None
+            None if config.seeds is not None
             else os.path.join(checkpoint_dir, f"{job.job_id}.json")
         ),
-        checkpoint_every=spec.get("checkpoint_every", 0),
-        faults=spec.get("faults"),
-        fault_seed=spec.get("fault_seed"),
-        crash_budget=spec.get("crash_budget"),
-        watchdog_insns=spec.get("watchdog_insns"),
-        watchdog_cycles=spec.get("watchdog_cycles"),
-        sanitizers=(
-            None if spec.get("sanitizers") is None
-            else tuple(spec["sanitizers"])
-        ),
-        seed_schedule=spec.get("seed_schedule", "uniform"),
-        exec_mode=spec.get("exec_mode", "journal"),
-        surface=spec.get("surface", "syscall"),
     )
 
 

@@ -33,16 +33,13 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Sequence
 
 from repro.errors import CheckpointError, CorpusError, FuzzerError
+from repro.fuzz.config import CampaignConfig, campaign_config
 from repro.fuzz.diagnostics import FleetDiagnostics, JobDiagnostics
-from repro.fuzz.transport import (
-    SpawnTransport,
-    WorkerTransport,
-    exit_cause_of,
-)
+from repro.fuzz.transport import SpawnTransport, WorkerTransport
 
 #: seconds between worker heartbeats
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
@@ -64,37 +61,19 @@ _DRAIN_GRACE = 1.0
 class CampaignJob:
     """One unit of fleet work: a single firmware campaign.
 
-    ``seeds`` switches the job to a repeated (multi-seed, merged)
-    campaign; otherwise ``seed`` runs a single campaign that
+    ``config`` carries every campaign knob; a job with ``config.seeds``
+    runs a repeated (multi-seed, merged) campaign, otherwise it
     checkpoints into ``checkpoint_path`` and resumes from it after a
-    worker death.  ``faults`` is the fault-plan DSL string (plans are
-    rebuilt per job from ``fault_seed`` so RNG streams never cross job
-    boundaries).
+    worker death.  The paths stay outside the config because they are
+    per-host custody, not campaign identity: the TCP worker rewrites
+    them to its local scratch copies.
     """
 
     job_id: str
-    firmware: str
-    budget: int
-    seed: int = 0
-    seeds: Optional[Tuple[int, ...]] = None
+    config: CampaignConfig
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 0
-    faults: Optional[str] = None
-    fault_seed: Optional[int] = None
-    crash_budget: Optional[int] = None
-    watchdog_insns: Optional[int] = None
-    watchdog_cycles: Optional[float] = None
-    sanitizers: Optional[Tuple[str, ...]] = None
     #: persistent corpus store shared with sibling jobs (sharded mode)
     corpus_dir: Optional[str] = None
-    seed_schedule: str = "uniform"
-    #: set both to make this job one shard of an intra-firmware fleet
-    shard_index: Optional[int] = None
-    shard_count: Optional[int] = None
-    #: target reset strategy ("journal" | "forkserver")
-    exec_mode: str = "journal"
-    #: fuzz surface ("syscall" | "driver")
-    surface: str = "syscall"
 
     def payload(self, attempt: int, heartbeat_interval: float,
                 observe: bool = False) -> dict:
@@ -104,27 +83,33 @@ class CampaignJob:
             "attempt": attempt,
             "heartbeat_interval": heartbeat_interval,
             "observe": observe,
-            "firmware": self.firmware,
-            "budget": self.budget,
-            "seed": self.seed,
-            "seeds": None if self.seeds is None else list(self.seeds),
+            "config": self.config.to_json(),
             "checkpoint_path": self.checkpoint_path,
-            "checkpoint_every": self.checkpoint_every,
-            "faults": self.faults,
-            "fault_seed": (self.seed if self.fault_seed is None
-                           else self.fault_seed),
-            "crash_budget": self.crash_budget,
-            "watchdog_insns": self.watchdog_insns,
-            "watchdog_cycles": self.watchdog_cycles,
-            "sanitizers": (None if self.sanitizers is None
-                           else list(self.sanitizers)),
             "corpus_dir": self.corpus_dir,
-            "seed_schedule": self.seed_schedule,
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
-            "exec_mode": self.exec_mode,
-            "surface": self.surface,
         }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "CampaignJob":
+        """Rebuild the job a :meth:`payload` dict describes."""
+        return cls(
+            job_id=payload["job_id"],
+            config=CampaignConfig.from_json(payload["config"]),
+            checkpoint_path=payload.get("checkpoint_path"),
+            corpus_dir=payload.get("corpus_dir"),
+        )
+
+    def run(self, observer=None, on_checkpoint_saved=None):
+        """Run the campaign in this process: the one job runner every
+        path shares (sequential sweeps, spawn and TCP workers)."""
+        from repro.fuzz.campaign import run_campaign
+
+        return run_campaign(
+            self.config,
+            checkpoint_path=self.checkpoint_path,
+            corpus_dir=self.corpus_dir,
+            observer=observer,
+            on_checkpoint_saved=on_checkpoint_saved,
+        )
 
 
 @dataclass
@@ -188,7 +173,8 @@ class _JobState:
         self.dead_since = None  # first time the worker was seen dead
         self.death_cause = None
         self.diag = JobDiagnostics(
-            job_id=job.job_id, firmware=job.firmware, seed=job.seed,
+            job_id=job.job_id, firmware=job.config.firmware,
+            seed=job.config.seed,
         )
         self.result = None
         self.discard_logged = False
@@ -395,9 +381,10 @@ class FleetSupervisor:
                 state.span_start = observer.tracer.now()
         path = state.job.checkpoint_path
         if state.attempt == 1:
+            config = state.job.config
             self._emit("job_started", job=state.job.job_id,
-                       firmware=state.job.firmware, seed=state.job.seed,
-                       budget=state.job.budget, pid=handle.pid,
+                       firmware=config.firmware, seed=config.seed,
+                       budget=config.budget, pid=handle.pid,
                        where=handle.where)
         else:
             self._emit("job_resumed", job=state.job.job_id,
@@ -552,7 +539,7 @@ class FleetSupervisor:
         from repro.corpus import CorpusStore
 
         store = CorpusStore(state.job.corpus_dir,
-                            firmware=state.job.firmware)
+                            firmware=state.job.config.firmware)
         added = store.import_bundle_obj(bundle, source=f"worker:{job_id}")
         if self.observer is not None and added:
             self.observer.counter(
@@ -659,30 +646,17 @@ class FleetSupervisor:
             self.on_event(record)
 
 
-#: backwards-compatible alias; the classification lives with the
-#: transports now (spawn exit codes are a transport detail)
-_exit_cause = exit_cause_of
-
-
 # ----------------------------------------------------------------------
 # catalog-level conveniences
 # ----------------------------------------------------------------------
 def make_jobs(
-    budget: int,
-    seed: int = 0,
-    seeds: Optional[Sequence[int]] = None,
     firmware: Optional[Sequence[str]] = None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
-    faults: Optional[str] = None,
-    crash_budget: Optional[int] = None,
-    watchdog_insns: Optional[int] = None,
-    watchdog_cycles: Optional[float] = None,
-    exec_mode: str = "journal",
-    surface: str = "syscall",
+    **knobs,
 ) -> List[CampaignJob]:
     """One job per Table-1 firmware (or per ``firmware`` subset).
 
+    ``knobs`` are the :class:`CampaignConfig` fields every job shares.
     With ``surface="driver"`` the default firmware set shrinks to the
     entries that model peripherals (have a ``driver_factory``); an
     explicit ``firmware`` list is taken as-is and a member without a
@@ -691,15 +665,17 @@ def make_jobs(
     from repro.firmware.registry import all_firmware, firmware_spec
 
     if firmware is None:
-        names = [
-            spec.name for spec in all_firmware()
-            if surface != "driver" or spec.driver_factory is not None
-        ]
+        specs = all_firmware()
+        if knobs.get("surface") == "driver":
+            specs = [s for s in specs if s.driver_factory is not None]
     else:
-        names = [firmware_spec(name).name for name in firmware]
+        specs = [firmware_spec(name) for name in firmware]
+    if not specs:
+        return []
+    base = CampaignConfig(specs[0].name, **knobs)
 
     def _path(name: str) -> Optional[str]:
-        if checkpoint_dir is None:
+        if checkpoint_dir is None or base.seeds is not None:
             return None
         os.makedirs(checkpoint_dir, exist_ok=True)
         safe = name.replace("/", "_")
@@ -707,21 +683,11 @@ def make_jobs(
 
     return [
         CampaignJob(
-            job_id=name,
-            firmware=name,
-            budget=budget,
-            seed=seed,
-            seeds=None if seeds is None else tuple(seeds),
-            checkpoint_path=None if seeds is not None else _path(name),
-            checkpoint_every=checkpoint_every,
-            faults=faults,
-            crash_budget=crash_budget,
-            watchdog_insns=watchdog_insns,
-            watchdog_cycles=watchdog_cycles,
-            exec_mode=exec_mode,
-            surface=surface,
+            job_id=spec.name,
+            config=replace(base, firmware=spec.name),
+            checkpoint_path=_path(spec.name),
         )
-        for name in names
+        for spec in specs
     ]
 
 
@@ -759,32 +725,22 @@ class ShardedFleetResult:
 
 
 def make_shard_jobs(
-    firmware: str,
-    budget: int,
+    config: CampaignConfig,
     shards: int,
-    seed: int = 0,
     corpus_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
-    seed_schedule: str = "uniform",
-    faults: Optional[str] = None,
-    crash_budget: Optional[int] = None,
-    watchdog_insns: Optional[int] = None,
-    watchdog_cycles: Optional[float] = None,
-    exec_mode: str = "journal",
-    surface: str = "syscall",
 ) -> List[CampaignJob]:
-    """One job per shard of a single firmware; ``budget`` is per shard.
+    """One job per shard of ``config``'s firmware; its budget is per shard.
 
-    Shard ``i`` of ``n`` seeds its RNG with ``seed + i``, starts from
-    its disjoint slice of the spec seed corpus, checkpoints into its
-    own file and writes its own manifest segment of the shared store
-    at ``corpus_dir`` — both are what lets a shard die and resume
+    Shard ``i`` of ``n`` seeds its RNG with ``config.seed + i``, starts
+    from its disjoint slice of the spec seed corpus, checkpoints into
+    its own file and writes its own manifest segment of the shared
+    store at ``corpus_dir`` — both are what lets a shard die and resume
     without touching its siblings.
     """
     from repro.firmware.registry import firmware_spec
 
-    name = firmware_spec(firmware).name
+    name = firmware_spec(config.firmware).name
     if shards < 1:
         raise FuzzerError(f"need >= 1 shard, got {shards}")
     if corpus_dir is None or checkpoint_dir is None:
@@ -797,23 +753,12 @@ def make_shard_jobs(
     return [
         CampaignJob(
             job_id=f"{name}#s{index}",
-            firmware=name,
-            budget=budget,
-            seed=seed + index,
+            config=replace(config, firmware=name, seed=config.seed + index,
+                           shard=(index, shards)),
             checkpoint_path=os.path.join(
                 checkpoint_dir, f"shard_{safe}_{index:02d}.json"
             ),
-            checkpoint_every=checkpoint_every,
-            faults=faults,
-            crash_budget=crash_budget,
-            watchdog_insns=watchdog_insns,
-            watchdog_cycles=watchdog_cycles,
             corpus_dir=corpus_dir,
-            seed_schedule=seed_schedule,
-            shard_index=index,
-            shard_count=shards,
-            exec_mode=exec_mode,
-            surface=surface,
         )
         for index in range(shards)
     ]
@@ -856,24 +801,17 @@ def merge_shard_results(results: Sequence[Optional[object]]):
 
 
 def run_sharded_fleet(
-    firmware: str,
+    firmware,
     budget: int,
     shards: int = 2,
     workers: Optional[int] = None,
-    seed: int = 0,
     sync_every: int = 0,
     corpus_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    seed_schedule: str = "uniform",
-    faults: Optional[str] = None,
-    crash_budget: Optional[int] = None,
-    watchdog_insns: Optional[int] = None,
-    watchdog_cycles: Optional[float] = None,
-    exec_mode: str = "journal",
-    surface: str = "syscall",
     observer=None,
     events_path: Optional[str] = None,
     fleet_options: Optional[dict] = None,
+    **knobs,
 ) -> ShardedFleetResult:
     """Fuzz ONE firmware with ``shards`` cooperating workers.
 
@@ -893,9 +831,12 @@ def run_sharded_fleet(
     ``sync_every=0`` means a single round (shards sync only through
     their disjoint seed slices and the final merge).
 
-    ``workers`` caps concurrent shard processes (default: one per
-    shard); ``fleet_options`` passes supervisor knobs
-    (``heartbeat_timeout``, ``max_retries``, ``on_event``, ...).
+    ``firmware`` is a firmware name or a :class:`CampaignConfig`, and
+    ``knobs`` are further config fields (``seed``, ``faults``,
+    ``exec_mode``, ...) shared by every shard.  ``workers`` caps
+    concurrent shard processes (default: one per shard);
+    ``fleet_options`` passes supervisor knobs (``heartbeat_timeout``,
+    ``max_retries``, ``on_event``, ...).
     """
     import tempfile
 
@@ -907,7 +848,8 @@ def run_sharded_fleet(
         # per run(); route the stream through the combined writer below
         events_path = events_path or fleet_options.pop("events_path")
         fleet_options.pop("events_path", None)
-    name = firmware_spec(firmware).name
+    config = campaign_config(firmware, budget=budget, **knobs)
+    name = firmware_spec(config.firmware).name
     if shards < 1:
         raise FuzzerError(f"need >= 1 shard, got {shards}")
     if budget < shards:
@@ -943,19 +885,14 @@ def run_sharded_fleet(
                 per_shard, (round_index + 1) * sync_every
             )
             jobs = make_shard_jobs(
-                name, round_budget, shards, seed=seed,
-                corpus_dir=corpus_dir, checkpoint_dir=checkpoint_dir,
                 # checkpoints only at sync boundaries: a mid-round kill
                 # resumes from the round start (or a fresh start in
                 # single-round mode), where the import watermark sees
                 # the same store every uninterrupted run saw
-                checkpoint_every=sync_every or per_shard,
-                seed_schedule=seed_schedule, faults=faults,
-                crash_budget=crash_budget,
-                watchdog_insns=watchdog_insns,
-                watchdog_cycles=watchdog_cycles,
-                exec_mode=exec_mode,
-                surface=surface,
+                replace(config, budget=round_budget,
+                        checkpoint_every=sync_every or per_shard),
+                shards, corpus_dir=corpus_dir,
+                checkpoint_dir=checkpoint_dir,
             )
             fleet = run_fleet(
                 jobs, workers=workers or shards, observer=observer,

@@ -714,11 +714,11 @@ class TcpJsonlTransport(WorkerTransport):
             job["checkpoint_state"] = state
             job["checkpoint_corrupt_upstream"] = corrupt
         if job.get("corpus_dir") is not None \
-                and job.get("shard_count") is None:
+                and job["config"].get("shard") is None:
             from repro.corpus import CorpusStore
 
             store = CorpusStore(job["corpus_dir"],
-                                firmware=job["firmware"])
+                                firmware=job["config"]["firmware"])
             job["corpus_remote"] = True
             job["corpus_bundle"] = store.export_bundle_obj()
             job["corpus_dir"] = None
@@ -878,7 +878,7 @@ def _stage_job(job: dict, scratch: str) -> dict:
         from repro.corpus import CorpusStore
 
         local = os.path.join(scratch, "corpus")
-        store = CorpusStore(local, firmware=job["firmware"])
+        store = CorpusStore(local, firmware=job["config"]["firmware"])
         bundle = job.get("corpus_bundle")
         if bundle:
             store.import_bundle_obj(bundle, source="fleet-job")
@@ -995,7 +995,7 @@ class _JobSession:
             from repro.corpus import CorpusStore
 
             bundle = CorpusStore(
-                corpus_dir, firmware=self.job["firmware"]
+                corpus_dir, firmware=self.job["config"]["firmware"]
             ).export_bundle_obj()
         if self._send("checkpoint_sync",
                       {"state": state, "corpus": bundle}):
@@ -1005,7 +1005,7 @@ class _JobSession:
         from repro.corpus import CorpusStore
 
         bundle = CorpusStore(
-            corpus_dir, firmware=self.job["firmware"]
+            corpus_dir, firmware=self.job["config"]["firmware"]
         ).export_bundle_obj()
         self._send("corpus_sync", {"bundle": bundle})
 

@@ -71,53 +71,10 @@ def _run_job(job: dict, observer=None, on_checkpoint_saved=None):
     ``on_checkpoint_saved`` to ship each fresh checkpoint back to the
     supervisor the moment it lands on the worker's local disk.
     """
-    from repro.emulator.faults import plan_for
-    from repro.fuzz.campaign import run_campaign, run_campaign_repeated
+    from repro.fuzz.supervisor import CampaignJob
 
-    kwargs = {}
-    if observer is not None:
-        kwargs["observer"] = observer
-    if job.get("faults"):
-        # per-job fault plan: each job owns its RNG stream, so a fleet
-        # member's faults never depend on sibling scheduling
-        kwargs["fault_plan"] = plan_for(
-            job["faults"],
-            seed=job.get("fault_seed", job.get("seed", 0)),
-        )
-    for key in ("crash_budget", "watchdog_insns", "watchdog_cycles"):
-        if job.get(key) is not None:
-            kwargs[key] = job[key]
-    if job.get("sanitizers") is not None:
-        kwargs["sanitizers"] = tuple(job["sanitizers"])
-    if job.get("corpus_dir") is not None:
-        kwargs["corpus_dir"] = job["corpus_dir"]
-    if job.get("seed_schedule", "uniform") != "uniform":
-        kwargs["seed_schedule"] = job["seed_schedule"]
-    if job.get("shard_count") is not None:
-        kwargs["shard"] = (job["shard_index"], job["shard_count"])
-    if job.get("exec_mode", "journal") != "journal":
-        kwargs["exec_mode"] = job["exec_mode"]
-    if job.get("surface", "syscall") != "syscall":
-        kwargs["surface"] = job["surface"]
-    if job.get("seeds"):
-        # repeated campaigns restart from scratch on retry: their
-        # early-stop logic is inherently sequential across seeds
-        return run_campaign_repeated(
-            job["firmware"],
-            budget=job["budget"],
-            seeds=tuple(job["seeds"]),
-            **kwargs,
-        )
-    if on_checkpoint_saved is not None:
-        kwargs["on_checkpoint_saved"] = on_checkpoint_saved
-    return run_campaign(
-        job["firmware"],
-        budget=job["budget"],
-        seed=job.get("seed", 0),
-        checkpoint_path=job.get("checkpoint_path"),
-        checkpoint_every=job.get("checkpoint_every", 0),
-        **kwargs,
-    )
+    return CampaignJob.from_payload(job).run(
+        observer=observer, on_checkpoint_saved=on_checkpoint_saved)
 
 
 def worker_main(job: dict, events) -> None:

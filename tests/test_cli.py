@@ -156,15 +156,16 @@ class TestExitCodes:
         # jobs built directly (bypassing catalog validation) can name a
         # firmware the worker cannot build: every attempt fails, the
         # retry budget runs out, and the fleet reports exit code 3
+        from repro.fuzz.config import CampaignConfig
         from repro.fuzz.supervisor import CampaignJob
 
         monkeypatch.setattr(
             "repro.fuzz.supervisor.make_jobs",
             lambda **kw: [
-                CampaignJob(job_id="ok", firmware="InfiniTime",
-                            budget=50, seed=1),
-                CampaignJob(job_id="doomed", firmware="NoSuchFirmware",
-                            budget=50, seed=1),
+                CampaignJob(job_id="ok", config=CampaignConfig(
+                    "InfiniTime", budget=50, seed=1)),
+                CampaignJob(job_id="doomed", config=CampaignConfig(
+                    "NoSuchFirmware", budget=50, seed=1)),
             ],
         )
         assert main(["fuzz-all", "--workers", "2", "--budget", "50",

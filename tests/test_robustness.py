@@ -27,6 +27,7 @@ from repro.fuzz.checkpoint import (
     engine_state,
     load_checkpoint,
     restore_engine,
+    result_to_json,
     save_checkpoint,
 )
 from repro.fuzz.diagnostics import CampaignDiagnostics, CrashRecord
@@ -35,6 +36,10 @@ from repro.fuzz.tardis import TardisFuzzer
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu
 from repro.isa.tcg import TcgEngine
+
+
+def _result_bytes(result) -> str:
+    return json.dumps(result_to_json(result), sort_keys=True)
 
 
 def load_wedged_guest(machine):
@@ -417,6 +422,47 @@ class TestCheckpointResume:
             restore_engine(TardisFuzzer("OpenHarmony-stm32f407", seed=1),
                            state, "OpenHarmony-stm32f407")
 
+    def test_changed_knob_refuses_resume(self, tmp_path):
+        # a driver-surface checkpoint must not silently resume as a
+        # syscall-surface campaign
+        path = str(tmp_path / "cp.json")
+        run_campaign("OpenWRT-armvirt", budget=60, seed=1,
+                     surface="driver", checkpoint_path=path)
+        with pytest.raises(FuzzerError, match="surface"):
+            run_campaign("OpenWRT-armvirt", budget=120, seed=1,
+                         checkpoint_path=path)
+
+    @pytest.mark.parametrize("first,then", [("journal", "forkserver"),
+                                            ("forkserver", "journal")])
+    def test_resume_may_extend_budget_and_switch_exec_mode(
+            self, tmp_path, first, then):
+        reference = run_campaign(
+            "InfiniTime", budget=200, seed=3, checkpoint_every=100,
+            checkpoint_path=str(tmp_path / "ref.json"))
+        path = str(tmp_path / "cp.json")
+        run_campaign("InfiniTime", budget=100, seed=3, checkpoint_every=100,
+                     exec_mode=first, checkpoint_path=path)
+        resumed = run_campaign("InfiniTime", budget=200, seed=3,
+                               checkpoint_every=100, exec_mode=then,
+                               checkpoint_path=path)
+        assert _result_bytes(resumed) == _result_bytes(reference)
+
+    def test_checkpoint_without_config_digest_resumes(self, tmp_path):
+        # checkpoints written before the digest existed resume unchecked
+        reference = run_campaign(
+            "InfiniTime", budget=200, seed=3, checkpoint_every=100,
+            checkpoint_path=str(tmp_path / "ref.json"))
+        path = str(tmp_path / "cp.json")
+        run_campaign("InfiniTime", budget=100, seed=3, checkpoint_every=100,
+                     checkpoint_path=path)
+        state = load_checkpoint(path)
+        del state["config_digest"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        resumed = run_campaign("InfiniTime", budget=200, seed=3,
+                               checkpoint_every=100, checkpoint_path=path)
+        assert _result_bytes(resumed) == _result_bytes(reference)
+
     def test_checkpoint_file_is_versioned_json(self, tmp_path):
         path = str(tmp_path / "cp.json")
         fuzzer = TardisFuzzer("InfiniTime", seed=1)
@@ -538,9 +584,8 @@ class TestCampaignHardening:
             assert finding.seed == 5
 
     def test_fault_campaign_survives_full_budget(self):
-        plan = plan_for("alloc:every=25", seed=7)
         result = run_campaign("InfiniTime", budget=150, seed=2,
-                              fault_plan=plan)
+                              faults="alloc:every=25;seed=7")
         assert result.execs == 150
         assert not result.diagnostics.degraded
         assert result.diagnostics.fault_stats["alloc_failures"] > 0

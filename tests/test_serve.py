@@ -253,19 +253,40 @@ class TestContracts:
         with pytest.raises(FuzzerError):
             validate_spec(_spec(bogus_knob=1))
 
+    @pytest.mark.parametrize("knob", [
+        {"exec_mode": "bogus"},
+        {"crash_budget": "3"},
+        {"seeds": "abc"},
+        {"surface": "nope"},
+        {"crash_budget": 0},
+        {"seed_schedule": "fifo"},
+        {"watchdog_cycles": True},
+        {"faults": "alloc:sometimes"},
+    ])
+    def test_validate_spec_refuses_bad_knob_values(self, knob):
+        with pytest.raises(FuzzerError):
+            validate_spec(_spec(**knob))
+
+    def test_unknown_firmware_passes_admission(self):
+        # deliberate: the runner fails it against its crash budget
+        spec = validate_spec(_spec(firmware="NoSuchFirmware"))
+        assert spec["firmware"] == "NoSuchFirmware"
+
     def test_retired_engine_knobs(self, tmp_path):
-        """``engine``/``jit_threshold`` are refused at admission, yet a
-        job already in the WAL that carries them still materializes and
-        runs: validation happens only at admission."""
+        """``engine``/``jit_threshold``/``fault_seed`` are refused at
+        admission, yet a job already in the WAL that carries them still
+        materializes and runs: unknown keys are ignored on replay."""
         from repro.fuzz.worker import _run_job
 
-        for knob in ({"engine": "jit"}, {"jit_threshold": 8}):
+        for knob in ({"engine": "jit"}, {"jit_threshold": 8},
+                     {"fault_seed": 1}):
             with pytest.raises(FuzzerError, match="unknown spec fields"):
                 validate_spec(_spec(**knob))
         # JobQueue.submit is below admission: this is the WAL record an
         # older daemon would have written
         q = JobQueue(str(tmp_path / "q"))
-        q.submit(_spec(budget=60, engine="jit", jit_threshold=8))
+        q.submit(_spec(budget=60, engine="jit", jit_threshold=8,
+                       fault_seed=1))
         q.close()
         q = JobQueue(str(tmp_path / "q"))
         job = build_campaign_job(q.lease("owner"), str(tmp_path / "ck"))

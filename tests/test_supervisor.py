@@ -26,6 +26,7 @@ from repro.errors import CheckpointError, FuzzerError
 from repro.fuzz.campaign import run_all_campaigns, run_campaign
 from repro.fuzz.checkpoint import result_to_json
 from repro.fuzz.diagnostics import FleetDiagnostics
+from repro.fuzz.config import CampaignConfig
 from repro.fuzz.supervisor import CampaignJob, FleetSupervisor, run_fleet
 
 #: small, fast firmware for fleet tests (tardis targets boot quickest)
@@ -38,8 +39,8 @@ def _result_bytes(result) -> str:
 
 def _jobs(budget=200, seed=1, **overrides):
     return [
-        CampaignJob(job_id=fw, firmware=fw, budget=budget, seed=seed,
-                    **overrides)
+        CampaignJob(job_id=fw, config=CampaignConfig(
+            fw, budget=budget, seed=seed, **overrides))
         for fw in FAST_FW
     ]
 
@@ -74,7 +75,7 @@ class TestFleetDeterminism:
         jobs = list(reversed(_jobs()))
         fleet = run_fleet(jobs, workers=2, heartbeat_interval=0.2)
         assert [r.firmware for r in fleet.results] == [
-            job.firmware for job in jobs
+            job.config.firmware for job in jobs
         ]
 
     def test_run_all_campaigns_delegates_to_fleet(self):
@@ -84,21 +85,15 @@ class TestFleetDeterminism:
             _result_bytes(r) for r in seq
         ]
 
-    def test_live_fault_plan_rejected_across_processes(self):
-        from repro.emulator.faults import plan_for
-
-        with pytest.raises(FuzzerError):
-            run_all_campaigns(budget=10, workers=2,
-                              fault_plan=plan_for("alloc:every=9", seed=1))
-
 
 class TestWorkerDeath:
     def test_sigkill_mid_job_resumes_to_identical_census(self, tmp_path):
         fw = "OpenHarmony-stm32f407"
         reference = run_campaign(fw, budget=1500, seed=1)
         path = str(tmp_path / "cp.json")
-        job = CampaignJob(job_id=fw, firmware=fw, budget=1500, seed=1,
-                          checkpoint_path=path, checkpoint_every=500)
+        job = CampaignJob(job_id=fw, config=CampaignConfig(
+            fw, budget=1500, seed=1, checkpoint_every=500),
+            checkpoint_path=path)
         tracker = _PidTracker()
         killed = []
 
@@ -131,9 +126,9 @@ class TestWorkerDeath:
         reference = run_campaign(fw, budget=200, seed=1,
                                  checkpoint_path=str(tmp_path / "ref.json"),
                                  checkpoint_every=100)
-        job = CampaignJob(job_id=fw, firmware=fw, budget=200, seed=1,
-                          checkpoint_path=str(tmp_path / "cp.json"),
-                          checkpoint_every=100)
+        job = CampaignJob(job_id=fw, config=CampaignConfig(
+            fw, budget=200, seed=1, checkpoint_every=100),
+            checkpoint_path=str(tmp_path / "cp.json"))
         tracker = _PidTracker()
         stopped = []
 
@@ -159,10 +154,10 @@ class TestWorkerDeath:
         good_fw = "InfiniTime"
         reference = run_campaign(good_fw, budget=200, seed=1)
         jobs = [
-            CampaignJob(job_id="doomed", firmware="NoSuchFirmware",
-                        budget=50, seed=1),
-            CampaignJob(job_id=good_fw, firmware=good_fw, budget=200,
-                        seed=1),
+            CampaignJob(job_id="doomed", config=CampaignConfig(
+                "NoSuchFirmware", budget=50, seed=1)),
+            CampaignJob(job_id=good_fw, config=CampaignConfig(
+                good_fw, budget=200, seed=1)),
         ]
         fleet = run_fleet(jobs, workers=2, heartbeat_interval=0.1,
                           max_retries=2, backoff_base=0.01)
@@ -185,8 +180,9 @@ class TestWorkerDeath:
         path = str(tmp_path / "cp.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"version": 1, "truncated mid-wri')
-        job = CampaignJob(job_id=fw, firmware=fw, budget=200, seed=1,
-                          checkpoint_path=path, checkpoint_every=100)
+        job = CampaignJob(job_id=fw, config=CampaignConfig(
+            fw, budget=200, seed=1, checkpoint_every=100),
+            checkpoint_path=path)
         fleet = run_fleet([job], workers=1, heartbeat_interval=0.2)
         assert not fleet.degraded
         # identical census/findings; only the diagnostics remember that
