@@ -9,6 +9,10 @@ from typing import List, NamedTuple, Optional
 class EventKind(enum.Enum):
     """Every sanitizer-sensitive event class the emulator exposes."""
 
+    # members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ hashes the member name in Python on every registry lookup
+    __hash__ = object.__hash__
+
     #: payload: :class:`repro.mem.access.Access`
     MEM_ACCESS = "mem_access"
     #: payload: :class:`CallEvent`

@@ -4,12 +4,16 @@ Sanitizer runtimes, fuzzer coverage collectors and the Prober's dry-run
 recorder all subscribe here.  Dispatch is synchronous and ordered by
 registration so a recorder attached before a sanitizer sees the event
 stream the sanitizer acted on.
+
+The machine's per-event hot paths (hypercalls, calls and returns) read
+``_handlers`` directly and build an event payload only when the kind
+has subscribers; everything else goes through :meth:`HookRegistry.emit`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.emulator.events import EventKind
 
@@ -17,15 +21,21 @@ Handler = Callable[[object], None]
 
 
 class HookRegistry:
-    """Register and dispatch handlers per :class:`EventKind`."""
+    """Register and dispatch handlers per :class:`EventKind`.
 
-    def __init__(self):
+    ``on_change``, when given, runs after every :meth:`add`,
+    :meth:`remove` and :meth:`clear`, so the owner can keep upstream
+    event sources attached exactly while someone subscribes to them.
+    """
+
+    def __init__(self, on_change: Optional[Callable[[], None]] = None):
         self._handlers: Dict[EventKind, tuple] = defaultdict(tuple)
-        self.dispatch_count = 0
+        self._on_change = on_change
 
     def add(self, kind: EventKind, handler: Handler) -> Handler:
         """Subscribe ``handler`` to ``kind``; returns it for chaining."""
         self._handlers[kind] = self._handlers[kind] + (handler,)
+        self._changed()
         return handler
 
     def remove(self, kind: EventKind, handler: Handler) -> None:
@@ -33,6 +43,7 @@ class HookRegistry:
         self._handlers[kind] = tuple(
             h for h in self._handlers[kind] if h is not handler
         )
+        self._changed()
 
     def clear(self, kind: EventKind = None) -> None:
         """Drop all handlers for ``kind``, or every handler when None."""
@@ -40,6 +51,11 @@ class HookRegistry:
             self._handlers.clear()
         else:
             self._handlers[kind] = ()
+        self._changed()
+
+    def _changed(self) -> None:
+        if self._on_change is not None:
+            self._on_change()
 
     def has_handlers(self, kind: EventKind) -> bool:
         """True when at least one handler is subscribed to ``kind``."""
@@ -50,7 +66,6 @@ class HookRegistry:
         handlers = self._handlers.get(kind)
         if not handlers:
             return
-        self.dispatch_count += 1
         for handler in handlers:
             handler(payload)
 

@@ -29,6 +29,14 @@ from repro.isa.tcg import TcgEngine
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, Perm
 
+# hot-path constants: an Enum attribute lookup runs Python code per access
+_VMCALL = EventKind.VMCALL
+_CALL = EventKind.CALL
+_RET = EventKind.RET
+_READY = int(Hypercall.READY)
+_PANIC = int(Hypercall.PANIC)
+_PUTC = int(Hypercall.PUTC)
+
 
 class GuestPanic(GuestFault):
     """The guest invoked its panic path (``Hypercall.PANIC``)."""
@@ -47,7 +55,10 @@ class Machine:
         self.arch = arch
         self.name = name
         self.bus = MemoryBus()
-        self.hooks = HookRegistry()
+        self.hooks = HookRegistry(on_change=self._sync_bus_observer)
+        #: the bus observer routing accesses into MEM_ACCESS, bound once
+        #: so it can be detached by identity
+        self._bus_observer = self._on_bus_access
         self.engines: List[object] = []
         #: callbacks fired when an execution engine is attached; the
         #: Common Sanitizer Runtime uses this to inject TCG probes into
@@ -105,8 +116,6 @@ class Machine:
                 self.bus.map(
                     MemoryRegion(spec.name, spec.base, spec.size, perm, spec.kind)
                 )
-        # route every bus access into the hook registry
-        self.bus.add_observer(self._on_bus_access)
 
     def attach_periph(self, device):
         """Map a modeled peripheral (:mod:`repro.periph`) onto the bus.
@@ -130,16 +139,21 @@ class Machine:
     def _on_bus_access(self, access) -> None:
         self.hooks.emit(EventKind.MEM_ACCESS, access)
 
-    def _scalar_unobserved(self) -> bool:
-        """True while skipping scalar-access notification is unobservable.
+    def _sync_bus_observer(self) -> None:
+        """Route bus accesses into MEM_ACCESS exactly while it has subscribers.
 
-        The jit tier inlines region reads/writes when the bus's only
-        observer is this machine's hook fan-out and nothing subscribes to
-        MEM_ACCESS — then the skipped ``Access`` would have been
-        constructed only to be dropped.
+        Runs on every hook registry change.  With no subscriber the bus
+        has no observer from this machine, so it builds no ``Access``
+        per scalar access and compiled traces may inline region
+        reads/writes (``TcgEngine._jit_mem_flags``).
         """
-        return (self.bus._observers == (self._on_bus_access,)
-                and not self.hooks._handlers.get(EventKind.MEM_ACCESS))
+        observer = self._bus_observer
+        attached = any(o is observer for o in self.bus._observers)
+        if self.hooks.has_handlers(EventKind.MEM_ACCESS):
+            if not attached:
+                self.bus.add_observer(observer)
+        elif attached:
+            self.bus.remove_observer(observer)
 
     def _on_console_byte(self, byte: int) -> None:
         self.hooks.emit(EventKind.CONSOLE, ConsoleEvent(byte))
@@ -237,8 +251,6 @@ class Machine:
         """Attach an EVM32 execution engine (:attr:`core_class`)."""
         core = self.core_class(self.bus, pc=pc, sp=sp,
                                hypercall=self._hypercall)
-        if isinstance(core, TcgEngine):
-            core.mem_fast_check = self._scalar_unobserved
         core.call_probes.append(self._on_isa_call)
         core.ret_probes.append(self._on_isa_ret)
         core.watchdog = self.watchdog
@@ -248,13 +260,19 @@ class Machine:
         return core
 
     def _on_isa_call(self, pc: int, target: int, args: List[int], lr: int) -> None:
-        name = self.symbol_at(target)
-        self.hooks.emit(
-            EventKind.CALL, CallEvent(pc, target, args, self.current_task, name)
-        )
+        handlers = self.hooks._handlers.get(_CALL)
+        if handlers:
+            event = CallEvent(pc, target, args, self.current_task,
+                              self.symbol_at(target))
+            for handler in handlers:
+                handler(event)
 
     def _on_isa_ret(self, pc: int, retval: int) -> None:
-        self.hooks.emit(EventKind.RET, RetEvent(pc, retval, self.current_task))
+        handlers = self.hooks._handlers.get(_RET)
+        if handlers:
+            event = RetEvent(pc, retval, self.current_task)
+            for handler in handlers:
+                handler(event)
 
     # ------------------------------------------------------------------
     # hypercalls
@@ -266,11 +284,21 @@ class Machine:
     def vmcall(
         self, number: int, args: List[int], pc: int = 0, task: Optional[int] = None
     ) -> Optional[int]:
-        """Dispatch a hypercall (from ISA trap or rehosted guest code)."""
-        if task is None:
-            task = self.current_task
-        self.hooks.emit(EventKind.VMCALL, VmcallEvent(number, list(args), pc, task))
-        self.tick_irqs()
+        """Dispatch a hypercall (from ISA trap or rehosted guest code).
+
+        Subscribers run in registration order on one event carrying a
+        copy of ``args``; the event is built only when someone
+        subscribes.  Delayed interrupts tick and the fault plan's IRQ
+        storm fires after dispatch.
+        """
+        handlers = self.hooks._handlers.get(_VMCALL)
+        if handlers:
+            event = VmcallEvent(number, list(args), pc,
+                                self.current_task if task is None else task)
+            for handler in handlers:
+                handler(event)
+        if self._pending_irqs:
+            self.tick_irqs()
         plan = self.fault_plan
         if plan is not None:
             storm = plan.irq_storm()
@@ -278,12 +306,12 @@ class Machine:
                 irq, count = storm
                 for _ in range(count):
                     self._deliver_irq(irq, device="irq-storm")
-        if number == Hypercall.READY:
+        if number == _READY:
             self.mark_ready()
-        elif number == Hypercall.PANIC:
+        elif number == _PANIC:
             self.panicked = args[0] if args else 0
             raise GuestPanic(f"guest panic code {self.panicked:#x} at pc {pc:#x}")
-        elif number == Hypercall.PUTC and self.uart is not None:
+        elif number == _PUTC and self.uart is not None:
             with self.bus.untraced():
                 self.uart.region.write(self.uart.base, bytes([args[0] & 0xFF]))
                 self.uart.output.append(args[0] & 0xFF)
@@ -302,15 +330,19 @@ class Machine:
         self, pc: int, target: int, args: List[int], name: Optional[str]
     ) -> None:
         """Report a rehosted guest function call to observers."""
-        self.hooks.emit(
-            EventKind.CALL, CallEvent(pc, target, args, self.current_task, name)
-        )
+        handlers = self.hooks._handlers.get(_CALL)
+        if handlers:
+            event = CallEvent(pc, target, args, self.current_task, name)
+            for handler in handlers:
+                handler(event)
 
     def emit_ret(self, target: int, retval: int, name: Optional[str]) -> None:
         """Report a rehosted guest function return to observers."""
-        self.hooks.emit(
-            EventKind.RET, RetEvent(target, retval, self.current_task, name)
-        )
+        handlers = self.hooks._handlers.get(_RET)
+        if handlers:
+            event = RetEvent(target, retval, self.current_task, name)
+            for handler in handlers:
+                handler(event)
 
     def switch_task(self, task: int) -> None:
         """Record a guest scheduler context switch."""

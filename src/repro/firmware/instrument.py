@@ -20,6 +20,11 @@ import enum
 from repro.emulator.hypercalls import Hypercall
 from repro.guest.context import GuestContext, SanHooks
 
+# the per-access hypercalls, hoisted: an Enum attribute lookup runs
+# Python code on every instrumented load and store
+_SAN_LOAD = Hypercall.SAN_LOAD
+_SAN_STORE = Hypercall.SAN_STORE
+
 
 class InstrumentationMode(enum.Enum):
     """How a firmware build was produced."""
@@ -52,7 +57,7 @@ class CompileTimeInstrumentation(SanHooks):
             return
         self.emitted += 1
         ctx.machine.vmcall(
-            Hypercall.SAN_LOAD, [addr, size, int(atomic)],
+            _SAN_LOAD, [addr, size, int(atomic)],
             pc=ctx.current_pc(), task=ctx.machine.current_task,
         )
 
@@ -62,7 +67,7 @@ class CompileTimeInstrumentation(SanHooks):
             return
         self.emitted += 1
         ctx.machine.vmcall(
-            Hypercall.SAN_STORE, [addr, size, int(atomic)],
+            _SAN_STORE, [addr, size, int(atomic)],
             pc=ctx.current_pc(), task=ctx.machine.current_task,
         )
 

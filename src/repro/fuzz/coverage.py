@@ -17,6 +17,8 @@ from repro.emulator.events import CallEvent, EventKind, VmcallEvent
 from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import Machine
 
+_COV_TRACE_PC = int(Hypercall.COV_TRACE_PC)
+
 
 class CoverageMap:
     """A cumulative set of coverage points with new-coverage tracking."""
@@ -80,7 +82,7 @@ class KcovCoverage(CoverageMap):
         machine.hooks.add(EventKind.VMCALL, self._on_vmcall)
 
     def _on_vmcall(self, event: VmcallEvent) -> None:
-        if event.number == Hypercall.COV_TRACE_PC and event.args:
+        if event.number == _COV_TRACE_PC and event.args:
             self.hit(event.args[0])
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import Machine
 from repro.errors import GuestFault
 from repro.guest.layout import DEFAULT_REDZONE, GuestLayout, STACK_SIZE
@@ -30,6 +31,7 @@ from repro.guest.layout import DEFAULT_REDZONE, GuestLayout, STACK_SIZE
 _PC_SLOTS = 64
 _CALL_CYCLES = 4
 _VAR_ALIGN = 8
+_COV_TRACE_PC = Hypercall.COV_TRACE_PC
 
 
 class SanHooks:
@@ -163,10 +165,8 @@ class GuestContext:
         if self.kcov_enabled:
             # kcov instruments every function entry; fold the leading
             # argument nibble in so distinct operation shapes separate
-            from repro.emulator.hypercalls import Hypercall
-
             point = (fn.addr << 4) | (int_args[0] & 0xF if int_args else 0)
-            machine.vmcall(Hypercall.COV_TRACE_PC, [point & 0xFFFFFFFF])
+            machine.vmcall(_COV_TRACE_PC, [point & 0xFFFFFFFF])
 
         sp = self._frames[-1].sp if self._frames else self._task_stack_top()
         frame = GuestFrame(self, fn.addr, sp)
@@ -439,11 +439,9 @@ class GuestContext:
         """kcov-style coverage beacon (compiled in only when the build
         enables it; Tardis-style OS-agnostic coverage does not need it)."""
         if self.kcov_enabled:
-            from repro.emulator.hypercalls import Hypercall
-
             point = (self.current_pc() ^ (marker * 0x9E3779B1)) & 0xFFFFFFFF
             self.machine.charge_guest(1)
-            self.machine.vmcall(Hypercall.COV_TRACE_PC, [point])
+            self.machine.vmcall(_COV_TRACE_PC, [point])
 
 
 class _KthreadFrame:

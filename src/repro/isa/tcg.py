@@ -48,6 +48,7 @@ so the calibrated Figure-2 cost model is tier-independent.
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GuestHang, InvalidOpcode
@@ -62,7 +63,15 @@ from repro.isa.insn import (
 )
 from repro.mem.access import Access, AccessKind
 from repro.mem.bus import MemoryBus
-from repro.mem.regions import Perm
+from repro.mem.regions import PERM_R, PERM_W
+
+#: compiled traces' inline-cache accessors by scalar size: one C call
+#: on the cached region buffer instead of a slice plus
+#: ``int.to_bytes``/``int.from_bytes``
+_PACK_INTO = {size: struct.Struct(fmt).pack_into
+              for size, fmt in ((1, "<B"), (2, "<H"), (4, "<I"))}
+_UNPACK_FROM = {size: struct.Struct(fmt).unpack_from
+                for size, fmt in ((1, "<B"), (2, "<H"), (4, "<I"))}
 
 #: Probe delegate signature: receives a fully reconstructed Access.
 MemProbe = Callable[[Access], None]
@@ -206,13 +215,6 @@ class TcgEngine:
         #: entry pc -> live :class:`_JitTrace`; flush/invalidation removes
         #: entries, re-translation of an evicted entry block re-attaches.
         self._jit_traces: Dict[int, _JitTrace] = {}
-        #: optional zero-arg callable set by the machine layer: True while
-        #: skipping bus-observer notification for a scalar access is
-        #: unobservable (the machine's fan-out observer has no MEM_ACCESS
-        #: subscribers).  None means the engine only trusts a bus with no
-        #: observers at all.  Compiled traces consult this (through
-        #: :meth:`_jit_mem_flags`) to inline region reads/writes.
-        self.mem_fast_check: Optional[Callable[[], bool]] = None
         # span of guest addresses covered by live translations; scalar
         # stores landing inside it are self-modifying code and flush.
         self._code_lo = 1 << 62
@@ -679,8 +681,9 @@ class TcgEngine:
         Returns ``(loads, stores, silent_loads, silent_stores)``.  A fast
         scalar access inlines the region read/write, so it is only legal
         while every skipped layer is provably inert: observed (unprobed)
-        templates additionally need quiescent observers — either absent,
-        or declared unobservable by the machine layer — while the probed
+        templates additionally need a bus without observers (a machine
+        attaches its observer only while MEM_ACCESS has subscribers,
+        see ``Machine._sync_bus_observer``) — while the probed
         templates' silent twins never notify anyone and only need the
         fault plan (loads) or journal/dirty recording (stores) to be
         absent.  Recomputed at trace entry and after every hypercall
@@ -688,10 +691,7 @@ class TcgEngine:
         mid-trace).
         """
         bus = self.bus
-        check = self.mem_fast_check
-        quiet = not bus._silent_depth and (
-            not bus._observers if check is None else check()
-        )
+        quiet = not bus._silent_depth and not bus._observers
         no_fault = bus.fault_plan is None
         no_wlog = bus._journal is None and bus._dirty is None
         return quiet and no_fault, quiet and no_wlog, no_fault, no_wlog
@@ -708,7 +708,7 @@ class TcgEngine:
         """
         region = self.bus.region_at(addr)
         if (region is None or region.kind == "device"
-                or not region.perm & (Perm.W if for_write else Perm.R)):
+                or not region.perm_bits & (PERM_W if for_write else PERM_R)):
             mc[0] = 1
             mc[1] = 0
             return
@@ -766,6 +766,9 @@ class TcgEngine:
         rl = [f"r{r} = regs[{r}]" for r in sorted(used)]
         arms: List[str] = []
         mem_caches: List[str] = []
+        #: scalar sizes with an inline store / load (binds _pk<n>/_uk<n>)
+        packs: set = set()
+        unpacks: set = set()
 
         for block_index, block in enumerate(blocks):
             head = "if" if block_index == 0 else "elif"
@@ -827,6 +830,10 @@ class TcgEngine:
                                      else (0x8000, 0x10000))
                     mc = f"_mc{len(mem_caches)}"
                     mem_caches.append(mc)
+                    # register locals always hold u32 values, so a zero
+                    # displacement needs no add-and-wrap
+                    addr = (f"({a} + {insn.imm}) & 4294967295" if insn.imm
+                            else a)
                     # the per-site inline cache: [region.base, region.end,
                     # region.data]; the guard proves the whole scalar
                     # access lands inside one cached non-device region
@@ -838,7 +845,7 @@ class TcgEngine:
                     if probes:
                         e(f"state.pc = {insn_pc}")
                         e(f"fi = {site(k, 0)}")
-                        e(f"_a = ({a} + {insn.imm}) & 4294967295")
+                        e(f"_a = {addr}")
                         e(f"_ac = _AC(_a, {size}, {is_write}, {insn_pc}, "
                           f"state.task, _DK, {atomic})")
                         if len(probes) == 1:
@@ -849,8 +856,8 @@ class TcgEngine:
                         e(f"_c = {mc}")
                         if is_write:
                             e(f"if _ss and {guard}:")
-                            e(f"_c[2][_a - _c[0] : _a - _c[0] + {size}] = "
-                              f"{val}.to_bytes({size}, \"little\")", 1)
+                            e(f"_pk{size}(_c[2], _a - _c[0], {val})", 1)
+                            packs.add(size)
                             e("else:")
                             e(f"_sts(_a, {size}, {b})", 1)
                             e("if _ss:", 1)
@@ -861,8 +868,8 @@ class TcgEngine:
                             exit_partial(k + 1, next_pc, 1)
                         else:
                             e(f"if _sl and {guard}:")
-                            e(f"_v = int.from_bytes(_c[2][_a - _c[0] : "
-                              f"_a - _c[0] + {size}], \"little\")", 1)
+                            e(f"_v = _uk{size}(_c[2], _a - _c[0])[0]", 1)
+                            unpacks.add(size)
                             e("else:")
                             e(f"_v = _lds(_a, {size})", 1)
                             e("if _sl:", 1)
@@ -873,11 +880,11 @@ class TcgEngine:
                             if insn.rd:
                                 e(f"r{insn.rd} = _v & 4294967295")
                     elif is_write:
-                        e(f"_a = ({a} + {insn.imm}) & 4294967295")
+                        e(f"_a = {addr}")
                         e(f"_c = {mc}")
                         e(f"if _fs and {guard}:")
-                        e(f"_c[2][_a - _c[0] : _a - _c[0] + {size}] = "
-                          f"{val}.to_bytes({size}, \"little\")", 1)
+                        e(f"_pk{size}(_c[2], _a - _c[0], {val})", 1)
+                        packs.add(size)
                         e("else:")
                         e(f"state.pc = {insn_pc}", 1)
                         e(f"fi = {site(k, 2)}", 1)
@@ -890,11 +897,11 @@ class TcgEngine:
                         e("eng.flush_tbs()", 1)
                         exit_partial(k + 1, next_pc, 1)
                     else:
-                        e(f"_a = ({a} + {insn.imm}) & 4294967295")
+                        e(f"_a = {addr}")
                         e(f"_c = {mc}")
                         e(f"if _fl and {guard}:")
-                        e(f"_v = int.from_bytes(_c[2][_a - _c[0] : "
-                          f"_a - _c[0] + {size}], \"little\")", 1)
+                        e(f"_v = _uk{size}(_c[2], _a - _c[0])[0]", 1)
+                        unpacks.add(size)
                         e("else:")
                         e(f"state.pc = {insn_pc}", 1)
                         e(f"fi = {site(k, 2)}", 1)
@@ -1035,6 +1042,10 @@ class TcgEngine:
         for name in mem_caches:
             # invalid until the site's first slow-path access refills it
             binds[name] = [1, 0, None]
+        for size in packs:
+            binds[f"_pk{size}"] = _PACK_INTO[size]
+        for size in unpacks:
+            binds[f"_uk{size}"] = _UNPACK_FROM[size]
         header = ", ".join(
             ["limit"] + [f"{k}=__c[{k!r}]" for k in sorted(binds)]
         )

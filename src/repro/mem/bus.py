@@ -15,11 +15,19 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.errors import BusError
 from repro.mem.access import Access, AccessKind
-from repro.mem.regions import MemoryRegion, Perm, check_no_overlap
+from repro.mem.regions import (
+    PERM_R,
+    PERM_W,
+    PERM_X,
+    MemoryRegion,
+    Perm,
+    check_no_overlap,
+)
 
 Observer = Callable[[Access], None]
 
 _SCALAR_SIZES = frozenset((1, 2, 4, 8))
+_bisect_right = bisect.bisect_right
 
 
 class MemoryBus:
@@ -84,19 +92,28 @@ class MemoryBus:
         region = self._regions[idx]
         return region if addr < region.end else None
 
-    def _resolve(self, addr: int, size: int, want: Perm) -> MemoryRegion:
-        region = self.region_at(addr)
-        if region is None or not region.contains(addr, size):
-            raise BusError(
-                f"unmapped guest access at {addr:#010x} size {size}", addr=addr
-            )
-        if not region.perm & want:
-            raise BusError(
-                f"permission violation at {addr:#010x}: need {want.name}, "
-                f"region {region.name!r} grants {region.perm!r}",
-                addr=addr,
-            )
-        return region
+    def _resolve(self, addr: int, size: int, want: int) -> MemoryRegion:
+        """The region serving ``[addr, addr+size)`` with ``want`` perm bits.
+
+        Runs on every bus access, so :meth:`region_at` and
+        ``MemoryRegion.contains`` are inlined.
+        """
+        idx = _bisect_right(self._bases, addr) - 1
+        if idx >= 0:
+            region = self._regions[idx]
+            end = region.base + region.size
+            if addr < end and addr + size <= end:
+                if region.perm_bits & want:
+                    return region
+                raise BusError(
+                    f"permission violation at {addr:#010x}: need "
+                    f"{Perm(want).name}, region {region.name!r} grants "
+                    f"{region.perm!r}",
+                    addr=addr,
+                )
+        raise BusError(
+            f"unmapped guest access at {addr:#010x} size {size}", addr=addr
+        )
 
     # ------------------------------------------------------------------
     # observers
@@ -247,7 +264,7 @@ class MemoryBus:
         """Perform a scalar little-endian load and return the value."""
         if size not in _SCALAR_SIZES:
             raise BusError(f"invalid scalar load size {size}", addr=addr)
-        region = self._resolve(addr, size, Perm.R)
+        region = self._resolve(addr, size, PERM_R)
         if self._observers:
             self._notify(Access(addr, size, False, pc, task, atomic=atomic))
         value = int.from_bytes(region.read(addr, size), "little")
@@ -269,7 +286,7 @@ class MemoryBus:
         """Perform a scalar little-endian store."""
         if size not in _SCALAR_SIZES:
             raise BusError(f"invalid scalar store size {size}", addr=addr)
-        region = self._resolve(addr, size, Perm.W)
+        region = self._resolve(addr, size, PERM_W)
         if self._observers:
             self._notify(Access(addr, size, True, pc, task, atomic=atomic))
         if region.kind != "device":
@@ -290,7 +307,7 @@ class MemoryBus:
         channel; skips the context-manager round trip and the scalar-size
         guard (instruction decoding fixes the size to 1/2/4).
         """
-        region = self._resolve(addr, size, Perm.R)
+        region = self._resolve(addr, size, PERM_R)
         value = int.from_bytes(region.read(addr, size), "little")
         if self.fault_plan is not None:
             # this path carries only guest (EVM32 template) loads
@@ -299,7 +316,7 @@ class MemoryBus:
 
     def store_silent(self, addr: int, size: int, value: int) -> None:
         """Scalar store with no observer notification (see load_silent)."""
-        region = self._resolve(addr, size, Perm.W)
+        region = self._resolve(addr, size, PERM_W)
         if region.kind != "device":
             if self._journal is not None:
                 off = addr - region.base
@@ -324,7 +341,7 @@ class MemoryBus:
         """Read ``size`` raw bytes as one range access."""
         if size == 0:
             return b""
-        region = self._resolve(addr, size, Perm.R)
+        region = self._resolve(addr, size, PERM_R)
         if self._observers:
             self._notify(Access(addr, size, False, pc, task, kind=kind))
         return region.read(addr, size)
@@ -340,7 +357,7 @@ class MemoryBus:
         """Write raw bytes as one range access."""
         if not payload:
             return
-        region = self._resolve(addr, len(payload), Perm.W)
+        region = self._resolve(addr, len(payload), PERM_W)
         if self._observers:
             self._notify(Access(addr, len(payload), True, pc, task, kind=kind))
         if region.kind != "device":
@@ -373,7 +390,7 @@ class MemoryBus:
     # ------------------------------------------------------------------
     def fetch(self, addr: int, size: int) -> bytes:
         """Fetch instruction bytes; requires execute permission."""
-        region = self._resolve(addr, size, Perm.X)
+        region = self._resolve(addr, size, PERM_X)
         return region.read(addr, size)
 
     # ------------------------------------------------------------------

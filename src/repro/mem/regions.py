@@ -25,6 +25,13 @@ class Perm(enum.IntFlag):
     RWX = R | W | X
 
 
+#: plain-int permission bits for hot-path tests (``IntFlag.__and__``
+#: runs in Python; ``int & int`` does not)
+PERM_R = int(Perm.R)
+PERM_W = int(Perm.W)
+PERM_X = int(Perm.X)
+
+
 class MemoryRegion:
     """A contiguous span of guest physical memory backed by a bytearray.
 
@@ -61,6 +68,16 @@ class MemoryRegion:
             self.data = mmap.mmap(-1, size)
         else:
             self.data = bytearray([fill]) * size
+
+    @property
+    def perm(self) -> Perm:
+        """The region's :class:`Perm` flags (stored as ``perm_bits``, the
+        plain int the bus and TCG hot paths test)."""
+        return Perm(self.perm_bits)
+
+    @perm.setter
+    def perm(self, perm: Perm) -> None:
+        self.perm_bits = int(perm)
 
     @property
     def end(self) -> int:

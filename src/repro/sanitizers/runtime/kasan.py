@@ -9,7 +9,7 @@ which is precisely the paper's argument for a common runtime.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.mem.access import Access, AccessKind
 from repro.sanitizers.runtime.quarantine import FreedObject, QuarantineLog
@@ -22,6 +22,7 @@ HEAP_REDZONE = 16
 STACK_REDZONE = 16
 
 _PAGE_CACHE_ID = 0xFFFF
+_FETCH = AccessKind.FETCH
 
 _CODE_TO_BUG = {
     int(ShadowCode.FREED): BugType.UAF,
@@ -51,12 +52,17 @@ class KasanEngine:
         self.shadow = shadow
         self.sink = sink
         self.live: Dict[int, AllocInfo] = {}
+        #: end address -> bases of the live objects ending there, so a
+        #: redzone hit finds its owner without scanning ``live``; kept in
+        #: step with ``live`` (rebuild with :meth:`reindex` after
+        #: replacing it)
+        self._ends: Dict[int, List[int]] = {}
         self.freed = QuarantineLog()
         #: raised by the runtime while allocator internals execute
         self.suppress_depth = 0
-        #: accesses validated; the runtime's inline fast path bumps this
-        #: directly when the addressable-granule test already proves an
-        #: access clean, so the count is fast-path independent
+        #: accesses validated; the runtime's compiled access check bumps
+        #: this directly when the addressable-granule test already proves
+        #: an access clean, so the count is fast-path independent
         self.checks = 0
         #: allocator lifetime events observed (observability counters)
         self.allocs = 0
@@ -73,7 +79,11 @@ class KasanEngine:
             return
         self.allocs += 1
         self.freed.pop(addr)
+        prior = self.live.get(addr)
+        if prior is not None:
+            self._unindex(addr, prior.size)
         self.live[addr] = AllocInfo(size, cache, pc, task)
+        self._ends.setdefault(addr + size, []).append(addr)
         self.shadow.unpoison(addr, size)
         if cache != _PAGE_CACHE_ID:
             # slab / large-kmalloc objects get a trailing redzone; whole
@@ -96,7 +106,9 @@ class KasanEngine:
             return
         self.frees += 1
         info = self.live.pop(addr, None)
-        if info is None:
+        if info is not None:
+            self._unindex(addr, info.size)
+        else:
             bug = (
                 BugType.DOUBLE_FREE
                 if self.freed.recently_freed(addr)
@@ -146,7 +158,7 @@ class KasanEngine:
         """Validate one access against the shadow map."""
         if self.suppress_depth:
             return None
-        if access.kind is AccessKind.FETCH:
+        if access.kind is _FETCH:
             return None
         self.checks += 1
         verdict = self.shadow.check(access.addr, access.size)
@@ -167,7 +179,7 @@ class KasanEngine:
             SanitizerReport(
                 self.tool, bug, bad_addr, access.size, access.is_write,
                 access.pc, access.task, alloc_pc=alloc_pc, free_pc=free_pc,
-                shadow_dump=self.shadow.dump_around(bad_addr),
+                shadow_dump=self.shadow.capture(bad_addr) or "",
             )
         )
 
@@ -181,14 +193,30 @@ class KasanEngine:
 
     # ------------------------------------------------------------------
     def _object_before(self, addr: int) -> Optional[AllocInfo]:
-        """The live object whose redzone ``addr`` most plausibly is."""
-        best = None
+        """The live object whose redzone ``addr`` most plausibly is: of
+        the objects ending in ``[addr - HEAP_REDZONE, addr]``, the one
+        with the largest base.  Probes those 17 end addresses, so the
+        cost does not grow with the number of live objects."""
         best_base = -1
+        ends = self._ends
+        for end in range(addr - HEAP_REDZONE, addr + 1):
+            bases = ends.get(end)
+            if bases:
+                best_base = max(best_base, max(bases))
+        return self.live[best_base] if best_base >= 0 else None
+
+    def _unindex(self, base: int, size: int) -> None:
+        bases = self._ends[base + size]
+        bases.remove(base)
+        if not bases:
+            del self._ends[base + size]
+
+    def reindex(self) -> None:
+        """Rebuild the end-address index from ``live`` (after a restore
+        replaced it)."""
+        self._ends = {}
         for base, info in self.live.items():
-            if base + info.size <= addr <= base + info.size + HEAP_REDZONE:
-                if base > best_base:
-                    best, best_base = info, base
-        return best
+            self._ends.setdefault(base + info.size, []).append(base)
 
     def live_count(self) -> int:
         """Number of live tracked allocations (diagnostic)."""

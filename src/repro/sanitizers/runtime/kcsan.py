@@ -22,6 +22,8 @@ DEFAULT_WINDOW = 256
 #: watchpoints remembered per granule
 PER_GRANULE = 4
 _GRANULE_SHIFT = 3
+#: the access kinds KCSAN watches
+_RACY_KINDS = (AccessKind.DATA, AccessKind.RANGE)
 
 
 class _Watch(NamedTuple):
@@ -58,7 +60,7 @@ class KcsanEngine:
         """
         if self.suppress_depth:
             return None
-        if access.kind not in (AccessKind.DATA, AccessKind.RANGE):
+        if access.kind not in _RACY_KINDS:
             return None
         if access.task == 0:
             return None  # boot-time accesses cannot race

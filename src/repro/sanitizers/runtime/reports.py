@@ -63,7 +63,7 @@ class SanitizerReport:
         alloc_pc: int = 0,
         free_pc: int = 0,
         second_pc: int = 0,
-        shadow_dump: str = "",
+        shadow_dump="",
     ):
         self.tool = tool
         self.bug_type = bug_type
@@ -77,7 +77,17 @@ class SanitizerReport:
         self.alloc_pc = alloc_pc
         self.free_pc = free_pc
         self.second_pc = second_pc
-        self.shadow_dump = shadow_dump
+        #: the dump text, or a capture (``ShadowCapture``) whose
+        #: ``render()`` produces it on first read
+        self._shadow_dump = shadow_dump
+
+    @property
+    def shadow_dump(self) -> str:
+        """The "Memory state around the buggy address" text, or ""."""
+        dump = self._shadow_dump
+        if not isinstance(dump, str):
+            dump = self._shadow_dump = dump.render()
+        return dump
 
     def dedup_key(self) -> tuple:
         """Reports with the same key are one bug (syzkaller-style dedup).

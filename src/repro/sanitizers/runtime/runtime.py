@@ -44,6 +44,12 @@ from repro.sanitizers.runtime.shadow import ShadowMemory
 
 from repro.os.embedded_linux.buddy import PAGE_SIZE
 
+_SAN_LOAD = int(Hypercall.SAN_LOAD)
+_SAN_STORE = int(Hypercall.SAN_STORE)
+_DATA = AccessKind.DATA
+_FETCH = AccessKind.FETCH
+_RANGE = AccessKind.RANGE
+
 
 @dataclass(frozen=True)
 class AllocFnSpec:
@@ -83,10 +89,6 @@ class RuntimeConfig:
     ready: ReadySpec = field(default_factory=ReadySpec)
     panic_on_report: bool = False
     costs: CostModel = DEFAULT_COSTS
-    #: inline the addressable-granule shadow test in the injected probe
-    #: (the paper's inline-mode ablation); False forces every access
-    #: through the full callback-mode validation path
-    inline_fastpath: bool = True
 
     def validate(self) -> None:
         """Reject configurations the runtime cannot honor."""
@@ -148,9 +150,16 @@ class CommonSanitizerRuntime:
             "interception": 0.0, "checks": 0.0, "allocator": 0.0,
             "range": 0.0,
         }
-        #: the delegate injected into TCG templates and bus hooks; either
-        #: the plain handler or the combined fast-path probe
-        self._probe_cb: Callable[[Access], None] = self._make_probe()
+        #: the scalar access check, compiled once for the configured mode
+        self._check: Callable[[Access], None] = self._compile_check(config.mode)
+        #: EMBSAN-D probe injected into TCG templates and subscribed to
+        #: MEM_ACCESS, bound once so removal by identity works
+        self._probe_cb: Callable[[Access], None] = self._on_access
+        #: hypercall number -> handler for every SAN_* call other than
+        #: SAN_LOAD/SAN_STORE (which :meth:`_on_vmcall` tests first)
+        self._vmcall_table: Dict[int, Callable[[VmcallEvent], None]] = (
+            self._build_vmcall_table()
+        )
 
     # ------------------------------------------------------------------
     # attachment
@@ -184,57 +193,6 @@ class CommonSanitizerRuntime:
         add_probe = getattr(engine, "add_mem_probe", None)
         if add_probe is not None:
             add_probe(self._probe_cb)
-
-    def _make_probe(self) -> Callable[[Access], None]:
-        """Build the combined probe compiled into translation templates.
-
-        When KASAN is active and :attr:`RuntimeConfig.inline_fastpath` is
-        on, scalar DATA traffic first takes an inlined addressable-granule
-        test against the unified shadow; only non-zero shadow bytes fall
-        into the full validation walk (report classification, partial
-        granules, quarantine lookups).  KCSAN still observes *every* data
-        access — races live on perfectly addressable memory — and all
-        cycle charges and counters are identical to the callback path, so
-        the fast path changes wall-clock cost only, never the modeled
-        overhead or the detection behaviour.
-        """
-        if (not self.config.inline_fastpath or self.kasan is None
-                or self.kmsan is not None):
-            return self._on_access
-        kasan = self.kasan
-        kcsan = self.kcsan
-        clear_for = self.shadow.clear_for
-        charge = self._charge
-        costs = self.costs
-        kasan_intercept = costs.kasan_d_intercept
-        kasan_check = costs.kasan_d_check
-        if kcsan is not None:
-            kcsan_intercept = costs.kcsan_d_intercept
-            kcsan_check = costs.kcsan_d_check
-
-        def probe(access: Access) -> None:
-            if not self.enabled or self._suppress:
-                return
-            if access.kind is not AccessKind.DATA:
-                # FETCH filtering and RANGE decomposition stay on the
-                # callback path
-                self._on_access(access)
-                return
-            self.events_handled += 1
-            charge(kasan_intercept, "interception")
-            charge(kasan_check, "checks")
-            if kasan.suppress_depth:
-                pass
-            elif clear_for(access.addr, access.size):
-                kasan.checks += 1
-            else:
-                kasan.check(access)
-            if kcsan is not None:
-                charge(kcsan_intercept, "interception")
-                charge(kcsan_check, "checks")
-                kcsan.check(access)
-
-        return probe
 
     def detach(self) -> None:
         """Unsubscribe everything (end of a testing campaign)."""
@@ -307,6 +265,7 @@ class CommonSanitizerRuntime:
         self._console_tail = state["console_tail"]
         if self.kasan is not None and "kasan_live" in state:
             self.kasan.live = dict(state["kasan_live"])
+            self.kasan.reindex()
             self.kasan.freed.load_state(state["kasan_freed"])
             self.kasan.suppress_depth = state["kasan_suppress"]
         if self.kcsan is not None and "kcsan_seq" in state:
@@ -454,53 +413,82 @@ class CommonSanitizerRuntime:
     # EMBSAN-C: hypercall fast path
     # ------------------------------------------------------------------
     def _on_vmcall(self, event: VmcallEvent) -> None:
-        number, args = event.number, event.args
+        number = event.number
         self.events_handled += 1
-        if number == Hypercall.SAN_LOAD or number == Hypercall.SAN_STORE:
-            if not self.enabled:
-                return
-            access = Access(
-                args[0], args[1] or 1, number == Hypercall.SAN_STORE,
-                pc=event.pc, task=event.task,
-                atomic=bool(args[2]) if len(args) > 2 else False,
-            )
-            self._run_checks(access, mode="c")
-        elif number == Hypercall.SAN_ALLOC:
-            if self.kasan is not None:
-                self.kasan.on_alloc(args[0], args[1], args[2], event.pc, event.task)
-                self._charge(self.costs.alloc_cost("c"), "allocator")
-            if self.kmsan is not None:
-                self.kmsan.on_alloc(args[0], args[1], args[2], event.pc, event.task)
-                self._charge(self.costs.kmsan_c_alloc, "allocator")
-        elif number == Hypercall.SAN_FREE:
-            if self.kasan is not None:
-                self.kasan.on_free(args[0], event.pc, event.task)
-                self._charge(self.costs.alloc_cost("c"), "allocator")
-            if self.kmsan is not None:
-                self.kmsan.on_free(args[0], event.pc, event.task)
-        elif number == Hypercall.SAN_MARK_INIT:
-            if self.kmsan is not None:
-                self.kmsan.mark_initialized(args[0], args[1])
-        elif number == Hypercall.SAN_SLAB_PAGE:
-            if self.kasan is not None:
-                self.kasan.on_slab_page(args[0], args[1])
-        elif number == Hypercall.SAN_GLOBAL_REG:
-            if self.kasan is not None:
-                self.kasan.register_global(args[0], args[1], args[2])
-        elif number == Hypercall.SAN_STACK_ENTER:
-            pass  # frame extent bookkeeping is carried by the vars
-        elif number == Hypercall.SAN_STACK_VAR:
-            if self.kasan is not None:
-                self.kasan.stack_var(args[0], args[1])
-        elif number == Hypercall.SAN_STACK_LEAVE:
-            if self.kasan is not None:
-                self.kasan.stack_clear(args[0], args[1])
-        elif number in (Hypercall.SAN_RANGE_READ, Hypercall.SAN_RANGE_WRITE):
+        if number == _SAN_LOAD or number == _SAN_STORE:
             if self.enabled:
-                self._check_range(
-                    args[0], args[1], number == Hypercall.SAN_RANGE_WRITE,
-                    event.pc, event.task, mode="c",
-                )
+                args = event.args
+                self._check(Access(
+                    args[0], args[1] or 1, number == _SAN_STORE,
+                    event.pc, event.task, _DATA,
+                    bool(args[2]) if len(args) > 2 else False,
+                ))
+            return
+        handler = self._vmcall_table.get(number)
+        if handler is not None:
+            handler(event)
+
+    def _build_vmcall_table(self) -> Dict[int, Callable[[VmcallEvent], None]]:
+        """Bind each remaining dummy-library hypercall to its handler;
+        calls no configured engine consumes get no entry."""
+        table: Dict[int, Callable[[VmcallEvent], None]] = {
+            Hypercall.SAN_RANGE_READ: self._vm_range,
+            Hypercall.SAN_RANGE_WRITE: self._vm_range,
+        }
+        if self.kasan is not None or self.kmsan is not None:
+            table[Hypercall.SAN_ALLOC] = self._vm_alloc
+            table[Hypercall.SAN_FREE] = self._vm_free
+        if self.kasan is not None:
+            table[Hypercall.SAN_SLAB_PAGE] = self._vm_slab_page
+            table[Hypercall.SAN_GLOBAL_REG] = self._vm_global_reg
+            table[Hypercall.SAN_STACK_VAR] = self._vm_stack_var
+            table[Hypercall.SAN_STACK_LEAVE] = self._vm_stack_leave
+        if self.kmsan is not None:
+            table[Hypercall.SAN_MARK_INIT] = self._vm_mark_init
+        # SAN_STACK_ENTER needs no handler: frame extent bookkeeping is
+        # carried by the stack vars.  Hypercall is an IntEnum, so plain
+        # int numbers from ISA traps find the same entries.
+        return table
+
+    def _vm_alloc(self, event: VmcallEvent) -> None:
+        args = event.args
+        if self.kasan is not None:
+            self.kasan.on_alloc(args[0], args[1], args[2], event.pc, event.task)
+            self._charge(self.costs.alloc_cost("c"), "allocator")
+        if self.kmsan is not None:
+            self.kmsan.on_alloc(args[0], args[1], args[2], event.pc, event.task)
+            self._charge(self.costs.kmsan_c_alloc, "allocator")
+
+    def _vm_free(self, event: VmcallEvent) -> None:
+        if self.kasan is not None:
+            self.kasan.on_free(event.args[0], event.pc, event.task)
+            self._charge(self.costs.alloc_cost("c"), "allocator")
+        if self.kmsan is not None:
+            self.kmsan.on_free(event.args[0], event.pc, event.task)
+
+    def _vm_mark_init(self, event: VmcallEvent) -> None:
+        self.kmsan.mark_initialized(event.args[0], event.args[1])
+
+    def _vm_slab_page(self, event: VmcallEvent) -> None:
+        self.kasan.on_slab_page(event.args[0], event.args[1])
+
+    def _vm_global_reg(self, event: VmcallEvent) -> None:
+        args = event.args
+        self.kasan.register_global(args[0], args[1], args[2])
+
+    def _vm_stack_var(self, event: VmcallEvent) -> None:
+        self.kasan.stack_var(event.args[0], event.args[1])
+
+    def _vm_stack_leave(self, event: VmcallEvent) -> None:
+        self.kasan.stack_clear(event.args[0], event.args[1])
+
+    def _vm_range(self, event: VmcallEvent) -> None:
+        if self.enabled:
+            args = event.args
+            self._check_range(
+                args[0], args[1], event.number == Hypercall.SAN_RANGE_WRITE,
+                event.pc, event.task, mode="c",
+            )
 
     # ------------------------------------------------------------------
     # EMBSAN-D: dynamic interception
@@ -508,14 +496,15 @@ class CommonSanitizerRuntime:
     def _on_access(self, access: Access) -> None:
         if not self.enabled or self._suppress:
             return
-        if access.kind is AccessKind.FETCH:
+        kind = access.kind
+        if kind is _FETCH:
             return
         self.events_handled += 1
-        if access.kind is AccessKind.RANGE:
+        if kind is _RANGE:
             self._check_range(access.addr, access.size, access.is_write,
                               access.pc, access.task, mode="d")
             return
-        self._run_checks(access, mode="d")
+        self._check(access)
 
     def _on_call(self, event: CallEvent) -> None:
         spec = self._alloc_map.get(event.target)
@@ -572,6 +561,61 @@ class CommonSanitizerRuntime:
         if self.kmsan is not None:
             self._charge(self.costs.kmsan_c_check, "range")
             self.kmsan.check(access)
+
+    def _compile_check(self, mode: str) -> Callable[[Access], None]:
+        """Build the scalar access check for ``mode`` ("c" or "d").
+
+        The returned closure is what an instrumented access costs: with
+        KASAN on, an inlined addressable-granule test against the
+        unified shadow proves the common clean access without the full
+        validation walk; only non-zero shadow bytes fall into
+        :meth:`KasanEngine.check` (report classification, partial
+        granules, quarantine lookups).  KCSAN still observes *every*
+        access (races live on perfectly addressable memory).  Charges,
+        counters and reports equal :meth:`_run_checks`, the reference
+        path: the same float additions onto ``overhead_cycles`` and
+        ``breakdown`` in the same order (KASAN trap, KASAN check, KCSAN
+        trap, KCSAN check), so modeled cycles are bit-identical.  KMSAN
+        configurations use :meth:`_run_checks` itself.
+        """
+        if self.kmsan is not None:
+            return lambda access: self._run_checks(access, mode)
+        machine = self.machine
+        kasan = self.kasan
+        kcsan = self.kcsan
+        clear_for = self.shadow.clear_for
+        costs = self.costs
+        if mode == "c":
+            kasan_trap, kasan_check = costs.kasan_c_trap, costs.kasan_c_check
+            kcsan_trap, kcsan_check = costs.kcsan_c_trap, costs.kcsan_c_check
+        else:
+            kasan_trap = costs.kasan_d_intercept
+            kasan_check = costs.kasan_d_check
+            kcsan_trap = costs.kcsan_d_intercept
+            kcsan_check = costs.kcsan_d_check
+
+        def check(access: Access) -> None:
+            # read at call time: load_telemetry rebinds the dict
+            breakdown = self.breakdown
+            if kasan is not None:
+                machine.overhead_cycles += kasan_trap
+                breakdown["interception"] += kasan_trap
+                machine.overhead_cycles += kasan_check
+                breakdown["checks"] += kasan_check
+                if kasan.suppress_depth:
+                    pass
+                elif clear_for(access.addr, access.size):
+                    kasan.checks += 1
+                else:
+                    kasan.check(access)
+            if kcsan is not None:
+                machine.overhead_cycles += kcsan_trap
+                breakdown["interception"] += kcsan_trap
+                machine.overhead_cycles += kcsan_check
+                breakdown["checks"] += kcsan_check
+                kcsan.check(access)
+
+        return check
 
     def _run_checks(self, access: Access, mode: str) -> None:
         costs = self.costs

@@ -89,7 +89,7 @@ class ShadowMemory:
         self.poison_ops = 0
         self.check_ops = 0
         #: clean accesses proven addressable by :meth:`clear_for` alone
-        #: (the inline fast path), a subset of ``check_ops``
+        #: (the runtime's compiled access check), a subset of ``check_ops``
         self.fastpath_hits = 0
 
     # ------------------------------------------------------------------
@@ -231,7 +231,7 @@ class ShadowMemory:
         """Fast path: True when every granule the access touches is 0.
 
         The inline counterpart of :meth:`check` used by the runtime's
-        combined probe: an all-addressable answer needs no poison-code
+        compiled access check: an all-addressable answer needs no poison-code
         classification, no partial-granule arithmetic and no report
         machinery, which covers the overwhelming majority of traffic.  A
         False return says nothing about *why* — the caller falls back to
@@ -290,29 +290,55 @@ class ShadowMemory:
             "fastpath_hits": self.fastpath_hits,
         }
 
-    def dump_around(self, addr: int, rows: int = 2) -> str:
-        """Render the shadow bytes around ``addr``, dmesg-KASAN style.
-
-        16 shadow bytes (128 guest bytes) per row, the row holding
-        ``addr`` marked with ``^`` under the offending granule.
-        """
+    def capture(self, addr: int, rows: int = 2) -> Optional["ShadowCapture"]:
+        """Copy the shadow rows a dump around ``addr`` shows (None when
+        ``addr`` is unshadowed): up to ``rows`` rows of 16 shadow bytes
+        either side of the row holding ``addr``, clipped at the region."""
         shadow = self._find(addr)
         if shadow is None:
-            return ""
+            return None
         granule = (addr - shadow.base) // GRANULE
         row_of = granule // 16
+        lo = max(row_of - rows, 0) * 16
+        hi = min((row_of + rows + 1) * 16, len(shadow.bytes))
+        return ShadowCapture(shadow.base + lo * GRANULE,
+                             bytes(shadow.bytes[lo:hi]), granule - lo)
+
+    def dump_around(self, addr: int, rows: int = 2) -> str:
+        """Render the shadow bytes around ``addr``, dmesg-KASAN style."""
+        capture = self.capture(addr, rows)
+        return "" if capture is None else capture.render()
+
+
+class ShadowCapture:
+    """Shadow bytes around a bad address, copied when a report is made.
+
+    KASAN reports carry one of these instead of text: most reports are
+    deduplicated away unread, so the dump is rendered (:meth:`render`)
+    only when someone reads it.  The copy keeps later poisoning and
+    snapshot restores from changing what the report shows.
+    """
+
+    __slots__ = ("origin", "data", "offset")
+
+    def __init__(self, origin: int, data: bytes, offset: int):
+        #: guest address of the granule ``data[0]`` describes
+        self.origin = origin
+        #: whole rows of 16 shadow bytes (the last may be clipped)
+        self.data = data
+        #: index in ``data`` of the offending granule
+        self.offset = offset
+
+    def render(self) -> str:
+        """16 shadow bytes (128 guest bytes) per row, the row holding the
+        bad address marked ``>`` and ``^^`` under the offending granule."""
+        data = self.data
+        bad_first = self.offset - self.offset % 16
         lines = ["Memory state around the buggy address:"]
-        for row in range(row_of - rows, row_of + rows + 1):
-            first = row * 16
-            if first < 0 or first >= len(shadow.bytes):
-                continue
-            cells = shadow.bytes[first:first + 16]
-            rendered = " ".join(f"{value:02x}" for value in cells)
-            marker = ">" if row == row_of else " "
-            lines.append(
-                f"{marker}{shadow.base + first * GRANULE:#010x}: {rendered}"
-            )
-            if row == row_of:
-                column = granule - first
-                lines.append(" " * 12 + "   " * column + " ^^")
+        for first in range(0, len(data), 16):
+            rendered = " ".join(f"{value:02x}" for value in data[first:first + 16])
+            marker = ">" if first == bad_first else " "
+            lines.append(f"{marker}{self.origin + first * GRANULE:#010x}: {rendered}")
+            if first == bad_first:
+                lines.append(" " * 12 + "   " * (self.offset - first) + " ^^")
         return "\n".join(lines)

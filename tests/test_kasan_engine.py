@@ -1,11 +1,13 @@
 """Unit tests: the KASAN-functionality engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.access import Access, AccessKind
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, Perm
-from repro.sanitizers.runtime.kasan import KasanEngine
+from repro.sanitizers.runtime.kasan import HEAP_REDZONE, KasanEngine
 from repro.sanitizers.runtime.reports import BugType, ReportSink
 from repro.sanitizers.runtime.shadow import ShadowMemory
 
@@ -139,3 +141,60 @@ class TestSuppression:
         engine.on_free(0)
         assert engine.sink.count() == 0
         assert engine.live_count() == 0
+
+
+def _scan_object_before(live, addr):
+    """The former linear scan over every live object: the oracle."""
+    best = None
+    best_base = -1
+    for base, info in live.items():
+        if base + info.size <= addr <= base + info.size + HEAP_REDZONE:
+            if base > best_base:
+                best, best_base = info, base
+    return best
+
+
+_heap_ops = st.lists(
+    st.one_of(
+        # bases on a coarse grid and small sizes, so objects overlap,
+        # share end addresses and sit inside each other's redzones
+        st.tuples(st.just("alloc"), st.integers(0, 40), st.integers(1, 40),
+                  st.sampled_from([1, 0xFFFF])),
+        st.tuples(st.just("free"), st.integers(0, 40)),
+        st.tuples(st.just("restore")),
+    ),
+    max_size=60,
+)
+
+
+class TestOwnerLookup:
+    """``_object_before`` probes an end-address index instead of
+    scanning ``live``; it must answer exactly what the scan answers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_heap_ops)
+    def test_matches_linear_scan(self, ops):
+        bus = MemoryBus()
+        bus.map(MemoryRegion("ram", BASE, 0x10000, Perm.RW, "ram"))
+        engine = KasanEngine(ShadowMemory(bus), ReportSink())
+        for op in ops:
+            if op[0] == "alloc":
+                engine.on_alloc(BASE + 4 * op[1], op[2], op[3], pc=op[1] + 1)
+            elif op[0] == "free":
+                engine.on_free(BASE + 4 * op[1])
+            else:
+                # what a snapshot restore does: replace live, reindex
+                engine.live = dict(engine.live)
+                engine.reindex()
+        for addr in range(BASE - 20, BASE + 4 * 40 + 40 + HEAP_REDZONE + 4):
+            assert engine._object_before(addr) is \
+                _scan_object_before(engine.live, addr), hex(addr)
+
+    def test_largest_base_wins_a_tie(self, engine):
+        engine.on_alloc(BASE, 64, cache=1, pc=0x1)
+        engine.on_alloc(BASE + 32, 32, cache=1, pc=0x2)  # same end
+        engine.on_alloc(BASE + 8, 60, cache=1, pc=0x3)  # ends 4 later
+        assert engine._object_before(BASE + 70).alloc_pc == 0x2
+        engine.on_free(BASE + 32)
+        assert engine._object_before(BASE + 70).alloc_pc == 0x3
+        assert engine._object_before(BASE + 64 + HEAP_REDZONE + 5) is None

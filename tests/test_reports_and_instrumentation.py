@@ -1,5 +1,7 @@
 """Unit tests: report sink semantics and compile-time instrumentation."""
 
+import json
+
 import pytest
 
 from repro.emulator.events import EventKind
@@ -109,3 +111,56 @@ class TestCompileTimeInstrumentation:
             Hypercall.SAN_RANGE_WRITE,
         }
         assert emitted <= DUMMY_SANITIZER_CALLS
+
+
+class TestLazyShadowDump:
+    """KASAN captures the shadow bytes at report time and renders the
+    dump text on first read; what a report shows must not change."""
+
+    @staticmethod
+    def _report_with_text(image, runtime):
+        """Trigger one KASAN report; returns it with the dump text
+        rendered from live shadow at report time."""
+        from repro.os.embedded_linux.syscalls import Syscall as S
+
+        texts = []
+        runtime.sink.listeners.append(
+            lambda r: texts.append(runtime.shadow.dump_around(r.addr)))
+        image.kernel.bugs.enable("t2_07_watch_queue_set_filter")
+        k, ctx = image.kernel, image.ctx
+        qid = k.do_syscall(ctx, S.WATCHQ, 1, 0, 0, 0)
+        k.do_syscall(ctx, S.WATCHQ, 4, qid, 4, 0)
+        report = runtime.sink.reports[0]
+        assert report.tool == "kasan" and texts[0]
+        return report, texts[0]
+
+    def test_dump_survives_later_poisoning(self, linux_c):
+        image, runtime = linux_c
+        report, text = self._report_with_text(image, runtime)
+        assert not isinstance(report._shadow_dump, str)  # not yet rendered
+        runtime.shadow.unpoison(report.addr - 64, 128)
+        runtime.shadow.poison(report.addr - 32, 16, 0xFF)
+        assert runtime.shadow.dump_around(report.addr) != text
+        assert report.shadow_dump == text
+        assert text in str(report)
+
+    def test_dump_survives_fork_server_restore(self, linux_c):
+        from repro.emulator.snapshot import ForkServer
+
+        image, runtime = linux_c
+        fork = ForkServer(image.machine)
+        report, text = self._report_with_text(image, runtime)
+        fork.restore()
+        assert runtime.sink.count() == 0
+        assert report.shadow_dump == text
+
+    def test_checkpoint_codec_round_trips_byte_identically(self, linux_c):
+        from repro.fuzz.checkpoint import _report_from_json, _report_to_json
+
+        image, runtime = linux_c
+        report, text = self._report_with_text(image, runtime)
+        encoded = json.dumps(_report_to_json(report), sort_keys=True)
+        decoded = _report_from_json(json.loads(encoded))
+        assert decoded.shadow_dump == text
+        assert json.dumps(_report_to_json(decoded), sort_keys=True) == encoded
+        assert str(decoded) == str(report)

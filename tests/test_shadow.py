@@ -144,3 +144,62 @@ class TestProperties:
             shadow.unpoison(BASE + offset,
                             (size + GRANULE - 1) // GRANULE * GRANULE)
         assert shadow.poisoned_bytes() == 0
+
+
+def _reference_dump(shadow, addr, rows=2):
+    """The former eager renderer, reading live shadow bytes: the oracle
+    for ``capture(addr).render()``."""
+    region = shadow._find(addr)
+    if region is None:
+        return ""
+    granule = (addr - region.base) // GRANULE
+    row_of = granule // 16
+    lines = ["Memory state around the buggy address:"]
+    for row in range(row_of - rows, row_of + rows + 1):
+        first = row * 16
+        if first < 0 or first >= len(region.bytes):
+            continue
+        cells = region.bytes[first:first + 16]
+        rendered = " ".join(f"{value:02x}" for value in cells)
+        marker = ">" if row == row_of else " "
+        lines.append(f"{marker}{region.base + first * GRANULE:#010x}: {rendered}")
+        if row == row_of:
+            lines.append(" " * 12 + "   " * (granule - first) + " ^^")
+    return "\n".join(lines)
+
+
+class TestShadowDump:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        offset=st.integers(-8, SIZE + 8),
+        rows=st.integers(0, 3),
+        spans=st.lists(st.tuples(st.integers(0, SIZE - 1), st.integers(1, 300)),
+                       max_size=5),
+    )
+    def test_render_of_capture_matches_reference(self, offset, rows, spans):
+        shadow = make_shadow()
+        for start, size in spans:
+            shadow.poison(BASE + start, size, ShadowCode.FREED)
+        addr = BASE + offset
+        capture = shadow.capture(addr, rows)
+        expected = _reference_dump(shadow, addr, rows)
+        assert shadow.dump_around(addr, rows) == expected
+        if capture is None:
+            assert expected == ""
+        else:
+            assert capture.render() == expected
+            assert len(capture.data) <= (2 * rows + 1) * 16
+
+    def test_capture_is_a_copy(self):
+        shadow = make_shadow()
+        shadow.poison(BASE + 64, 32, ShadowCode.REDZONE_HEAP)
+        capture = shadow.capture(BASE + 64)
+        before = shadow.dump_around(BASE + 64)
+        shadow.unpoison(BASE, 256)
+        shadow.poison(BASE + 8, 16, ShadowCode.FREED)
+        assert capture.render() == before != shadow.dump_around(BASE + 64)
+
+    def test_unshadowed_address_has_no_dump(self):
+        shadow = make_shadow()
+        assert shadow.capture(0x8000) is None
+        assert shadow.dump_around(0x8000) == ""
