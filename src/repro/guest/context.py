@@ -366,13 +366,11 @@ class GuestContext:
 
     def raw_ld32(self, addr: int) -> int:
         """Untraced word load (allocator metadata helper)."""
-        with self.bus.untraced():
-            return self.bus.load(addr & 0xFFFFFFFF, 4)
+        return self.bus.load_host(addr & 0xFFFFFFFF, 4)
 
     def raw_st32(self, addr: int, value: int) -> None:
         """Untraced word store (allocator metadata helper)."""
-        with self.bus.untraced():
-            self.bus.store(addr & 0xFFFFFFFF, 4, value)
+        self.bus.store_silent(addr & 0xFFFFFFFF, 4, value)
 
     # ------------------------------------------------------------------
     # sanitizer-hook helpers

@@ -314,8 +314,20 @@ class MemoryBus:
             value = self.fault_plan.mutate_load(addr, size, value)
         return value
 
+    def load_host(self, addr: int, size: int) -> int:
+        """Scalar load on the host's behalf: what ``with untraced(): load(...)``
+        returns, without the context manager, the :class:`Access` or the
+        fault plan (untraced loads are never mutated).  Allocator metadata
+        walks read through here."""
+        return int.from_bytes(
+            self._resolve(addr, size, PERM_R).read(addr, size), "little"
+        )
+
     def store_silent(self, addr: int, size: int, value: int) -> None:
-        """Scalar store with no observer notification (see load_silent)."""
+        """Scalar store with no observer notification (see load_silent).
+
+        Also what ``with untraced(): store(...)`` does: dirty and journal
+        marks, no observers, no fault plan."""
         region = self._resolve(addr, size, PERM_W)
         if region.kind != "device":
             if self._journal is not None:

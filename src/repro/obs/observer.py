@@ -204,7 +204,7 @@ class Observer:
 
     def harvest_runtime(self, runtime) -> None:
         """Accumulate sanitizer-runtime counters (shadow, KASAN, KCSAN,
-        quarantine, overhead-cycle breakdown)."""
+        KMSAN, quarantine, overhead-cycle breakdown)."""
         if self.registry is None or runtime is None:
             return
         counter = self.registry.counter
@@ -239,6 +239,10 @@ class Observer:
             counter("kcsan.checks").inc(kcsan.checks)
             counter("kcsan.races").inc(getattr(kcsan, "races_seen", 0))
             gauge("kcsan.armed_watchpoints").set(len(getattr(kcsan, "_watches", ())))
+        kmsan = getattr(runtime, "kmsan", None)
+        if kmsan is not None:
+            counter("kmsan.checks").inc(kmsan.checks)
+            gauge("kmsan.tracked_objects").set(kmsan.tracked_objects())
 
     # ------------------------------------------------------------------
     # export

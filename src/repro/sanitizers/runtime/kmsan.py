@@ -31,6 +31,8 @@ from repro.sanitizers.runtime.reports import BugType, ReportSink, SanitizerRepor
 #: allocator cache ids whose objects are NOT tracked (whole pages:
 #: the kernel treats page-level buffers as externally initialized)
 _UNTRACKED_CACHES = frozenset({0xFFFF})
+#: access kinds KMSAN validates: CPU data, bulk ranges and device DMA
+_TRACKED_KINDS = (AccessKind.DATA, AccessKind.RANGE, AccessKind.DMA)
 
 
 class KmsanEngine:
@@ -45,6 +47,10 @@ class KmsanEngine:
         #: sorted-ish index is unnecessary: lookups walk a small dict
         self.suppress_depth = 0
         self.checks = 0
+        #: bumped by every transition that may change ``_objects``
+        #: (allocs, frees, initializing stores); the runtime's snapshot
+        #: epoch compares it to skip reloads of unchanged state
+        self.mutations = 0
 
     # ------------------------------------------------------------------
     # allocator state transitions
@@ -55,10 +61,12 @@ class KmsanEngine:
         if addr == 0 or size <= 0 or cache in _UNTRACKED_CACHES:
             return
         self._objects[addr] = bytearray(size)
+        self.mutations += 1
 
     def on_free(self, addr: int, pc: int = 0, task: int = 0) -> None:
         """Tracking ends with the object's life (KASAN owns UAF)."""
-        self._objects.pop(addr, None)
+        if self._objects.pop(addr, None) is not None:
+            self.mutations += 1
 
     # ------------------------------------------------------------------
     # access validation
@@ -76,25 +84,21 @@ class KmsanEngine:
         # DMA counts: a device reading an uninitialized heap buffer
         # leaks its contents just like a CPU load, and a device write
         # (ring write-back, rx payload) initializes the span it covers
-        if access.kind not in (AccessKind.DATA, AccessKind.RANGE,
-                               AccessKind.DMA):
+        if access.kind not in _TRACKED_KINDS:
             return None
-        hit = self._find(access.addr, access.size)
+        size = access.size
+        hit = self._find(access.addr, size)
         if hit is None:
             return None
         base, flags = hit
         start = access.addr - base
         self.checks += 1
         if access.is_write:
-            for idx in range(start, start + access.size):
-                flags[idx] = 1
+            flags[start:start + size] = b"\x01" * size
+            self.mutations += 1
             return None
-        bad = next(
-            (idx for idx in range(start, start + access.size)
-             if not flags[idx]),
-            None,
-        )
-        if bad is None:
+        bad = flags.find(0, start, start + size)
+        if bad < 0:
             return None
         return self.sink.emit(SanitizerReport(
             self.tool, BugType.UNINIT_READ, base + bad, access.size,
@@ -109,8 +113,9 @@ class KmsanEngine:
             return
         base, flags = hit
         start = addr - base
-        for idx in range(start, min(start + size, len(flags))):
-            flags[idx] = 1
+        end = min(start + size, len(flags))
+        flags[start:end] = b"\x01" * (end - start)
+        self.mutations += 1
 
     def tracked_objects(self) -> int:
         """Number of live tracked objects (diagnostic)."""

@@ -237,6 +237,12 @@ class CommonSanitizerRuntime:
                 for addr, watches in self.kcsan._watches.items()
             }
             state["kcsan_suppress"] = self.kcsan.suppress_depth
+        if self.kmsan is not None:
+            state["kmsan_objects"] = {
+                base: bytes(flags)
+                for base, flags in self.kmsan._objects.items()
+            }
+            state["kmsan_mutations"] = self.kmsan.mutations
         return state
 
     def load_state(self, state: dict) -> None:
@@ -275,6 +281,13 @@ class CommonSanitizerRuntime:
                 for addr, watches in state["kcsan_watches"].items()
             }
             self.kcsan.suppress_depth = state["kcsan_suppress"]
+        if self.kmsan is not None and "kmsan_objects" in state:
+            # insertion order is lookup order (KmsanEngine._find)
+            self.kmsan._objects = {
+                base: bytearray(flags)
+                for base, flags in state["kmsan_objects"].items()
+            }
+            self.kmsan.mutations = state["kmsan_mutations"]
 
     def state_epoch(self) -> tuple:
         """Cheap fingerprint of the semantic state :meth:`save_state` covers.
@@ -282,7 +295,8 @@ class CommonSanitizerRuntime:
         Every mutation of that state moves at least one component:
         shadow/allocator transitions bump ``shadow.poison_ops`` (each
         live-map or quarantine change is paired with a poison or
-        unpoison), KCSAN watchpoint recording bumps ``_seq``, and
+        unpoison), KCSAN watchpoint recording bumps ``_seq``, KMSAN bumps
+        ``mutations`` on every alloc, free and initializing store, and
         in-flight allocator bookkeeping shows up in the suppress depth
         and pending stacks.  Equal epochs therefore mean the semantic
         state is byte-identical, letting a delta restore skip the reload
@@ -309,6 +323,8 @@ class CommonSanitizerRuntime:
             )
         if self.kcsan is not None:
             epoch += (self.kcsan._seq, self.kcsan.suppress_depth)
+        if self.kmsan is not None:
+            epoch += (self.kmsan.mutations,)
         return epoch
 
     # ------------------------------------------------------------------
@@ -345,6 +361,8 @@ class CommonSanitizerRuntime:
             )
         if self.kcsan is not None:
             telemetry["kcsan"] = (self.kcsan.checks, self.kcsan.races_seen)
+        if self.kmsan is not None:
+            telemetry["kmsan"] = self.kmsan.checks
         return telemetry
 
     def load_telemetry(self, telemetry: dict) -> None:
@@ -370,6 +388,8 @@ class CommonSanitizerRuntime:
             ) = telemetry["kasan"]
         if self.kcsan is not None and "kcsan" in telemetry:
             self.kcsan.checks, self.kcsan.races_seen = telemetry["kcsan"]
+        if self.kmsan is not None and "kmsan" in telemetry:
+            self.kmsan.checks = telemetry["kmsan"]
 
     def _subscribe(self, hooks, kind: EventKind, handler: Callable) -> None:
         hooks.add(kind, handler)
@@ -565,24 +585,24 @@ class CommonSanitizerRuntime:
     def _compile_check(self, mode: str) -> Callable[[Access], None]:
         """Build the scalar access check for ``mode`` ("c" or "d").
 
-        The returned closure is what an instrumented access costs: with
-        KASAN on, an inlined addressable-granule test against the
-        unified shadow proves the common clean access without the full
-        validation walk; only non-zero shadow bytes fall into
-        :meth:`KasanEngine.check` (report classification, partial
-        granules, quarantine lookups).  KCSAN still observes *every*
-        access (races live on perfectly addressable memory).  Charges,
-        counters and reports equal :meth:`_run_checks`, the reference
-        path: the same float additions onto ``overhead_cycles`` and
-        ``breakdown`` in the same order (KASAN trap, KASAN check, KCSAN
-        trap, KCSAN check), so modeled cycles are bit-identical.  KMSAN
-        configurations use :meth:`_run_checks` itself.
+        The returned closure is what an instrumented access costs, for
+        every sanitizer set (a new engine's scalar check goes here: there
+        is no generic fallback).  With KASAN on, an inlined
+        addressable-granule test against the unified shadow proves the
+        common clean access without the full validation walk; only
+        non-zero shadow bytes fall into :meth:`KasanEngine.check` (report
+        classification, partial granules, quarantine lookups).  KCSAN and
+        KMSAN still observe *every* access (races and uninitialized bytes
+        live on perfectly addressable memory).  Each engine charges its
+        trap and then its check, as separate float additions onto
+        ``overhead_cycles`` and ``breakdown`` in engine order (KASAN,
+        KCSAN, KMSAN), so modeled cycles are bit-identical to charging
+        them one :meth:`_charge` at a time.
         """
-        if self.kmsan is not None:
-            return lambda access: self._run_checks(access, mode)
         machine = self.machine
         kasan = self.kasan
         kcsan = self.kcsan
+        kmsan = self.kmsan
         clear_for = self.shadow.clear_for
         costs = self.costs
         if mode == "c":
@@ -593,6 +613,8 @@ class CommonSanitizerRuntime:
             kasan_check = costs.kasan_d_check
             kcsan_trap = costs.kcsan_d_intercept
             kcsan_check = costs.kcsan_d_check
+        # KMSAN exists only in mode "c" (RuntimeConfig.validate)
+        kmsan_trap, kmsan_check = costs.kmsan_c_trap, costs.kmsan_c_check
 
         def check(access: Access) -> None:
             # read at call time: load_telemetry rebinds the dict
@@ -614,27 +636,14 @@ class CommonSanitizerRuntime:
                 machine.overhead_cycles += kcsan_check
                 breakdown["checks"] += kcsan_check
                 kcsan.check(access)
+            if kmsan is not None:
+                machine.overhead_cycles += kmsan_trap
+                breakdown["interception"] += kmsan_trap
+                machine.overhead_cycles += kmsan_check
+                breakdown["checks"] += kmsan_check
+                kmsan.check(access)
 
         return check
-
-    def _run_checks(self, access: Access, mode: str) -> None:
-        costs = self.costs
-        if self.kasan is not None:
-            intercept = costs.kasan_c_trap if mode == "c" else costs.kasan_d_intercept
-            check = costs.kasan_c_check if mode == "c" else costs.kasan_d_check
-            self._charge(intercept, "interception")
-            self._charge(check, "checks")
-            self.kasan.check(access)
-        if self.kcsan is not None:
-            intercept = costs.kcsan_c_trap if mode == "c" else costs.kcsan_d_intercept
-            check = costs.kcsan_c_check if mode == "c" else costs.kcsan_d_check
-            self._charge(intercept, "interception")
-            self._charge(check, "checks")
-            self.kcsan.check(access)
-        if self.kmsan is not None:
-            self._charge(costs.kmsan_c_trap, "interception")
-            self._charge(costs.kmsan_c_check, "checks")
-            self.kmsan.check(access)
 
     def _charge(self, cycles: float, category: str) -> None:
         self.machine.charge_overhead(cycles)
@@ -675,4 +684,7 @@ class CommonSanitizerRuntime:
         if self.kcsan is not None:
             out["kcsan_checks"] = self.kcsan.checks
             out["kcsan_races"] = self.kcsan.races_seen
+        if self.kmsan is not None:
+            out["kmsan_checks"] = self.kmsan.checks
+            out["kmsan_tracked_objects"] = self.kmsan.tracked_objects()
         return out

@@ -2,11 +2,13 @@
 
 ``CommonSanitizerRuntime._compile_check`` builds the one scalar check an
 instrumented access pays for (EMBSAN-C hypercalls and EMBSAN-D probes
-alike).  ``_run_checks`` is its reference: two twin runtimes see the
-same allocator history and the same accesses, one through the
-production entry point (``Machine.vmcall`` in mode C, the injected
-probe in mode D), the other through ``_run_checks``, and every modeled
-cycle, counter, watchpoint and report must agree.
+alike, every sanitizer set).  ``_run_checks`` below is its reference,
+frozen as the runtime's full validation walk was before the check was
+compiled: two twin runtimes see the same allocator history and the same
+accesses, one through the production entry point (``Machine.vmcall`` in
+mode C, the injected probe in mode D), the other through
+``_run_checks``, and every modeled cycle, counter, watchpoint, KMSAN
+init flag and report must agree.
 """
 
 import pytest
@@ -23,12 +25,12 @@ from repro.sanitizers.runtime.runtime import (
     RuntimeConfig,
 )
 
-#: (mode, sanitizers) pairs; KMSAN needs mode "c" and takes the
-#: ``_run_checks`` fallback
+#: (mode, sanitizers) pairs; KMSAN needs mode "c"
 CONFIGS = [
     ("c", ("kasan",)),
     ("c", ("kasan", "kcsan")),
     ("c", ("kasan", "kmsan")),
+    ("c", ("kasan", "kcsan", "kmsan")),
     ("d", ("kasan",)),
     ("d", ("kasan", "kcsan")),
 ]
@@ -59,6 +61,28 @@ ops = st.one_of(
     st.tuples(st.just("suppress"), st.integers(0, 1)),
     st.tuples(st.just("init"), st.integers(0, SLOTS - 1), st.integers(1, 64)),
 )
+
+
+def _run_checks(runtime, access: Access, mode: str) -> None:
+    """The reference validation walk: every configured engine's full
+    check, charged one ``_charge`` at a time (trap, then check)."""
+    costs = runtime.costs
+    if runtime.kasan is not None:
+        intercept = costs.kasan_c_trap if mode == "c" else costs.kasan_d_intercept
+        check = costs.kasan_c_check if mode == "c" else costs.kasan_d_check
+        runtime._charge(intercept, "interception")
+        runtime._charge(check, "checks")
+        runtime.kasan.check(access)
+    if runtime.kcsan is not None:
+        intercept = costs.kcsan_c_trap if mode == "c" else costs.kcsan_d_intercept
+        check = costs.kcsan_c_check if mode == "c" else costs.kcsan_d_check
+        runtime._charge(intercept, "interception")
+        runtime._charge(check, "checks")
+        runtime.kcsan.check(access)
+    if runtime.kmsan is not None:
+        runtime._charge(costs.kmsan_c_trap, "interception")
+        runtime._charge(costs.kmsan_c_check, "checks")
+        runtime.kmsan.check(access)
 
 
 def _runtime(mode, sanitizers, costs=DEFAULT_COSTS):
@@ -124,6 +148,11 @@ def _observed(machine, runtime) -> dict:
             granule: list(watches)
             for granule, watches in runtime.kcsan._watches.items()
         }
+    if runtime.kmsan is not None:
+        out["kmsan_checks"] = runtime.kmsan.checks
+        out["kmsan_objects"] = {
+            base: bytes(flags) for base, flags in runtime.kmsan._objects.items()
+        }
     return out
 
 
@@ -139,7 +168,7 @@ def test_compiled_check_matches_run_checks(mode, sanitizers, costs, sequence):
     for pc, op in enumerate(sequence, start=0x1000):
         if op[0] == "access":
             _compiled(machine_a, compiled, op, pc)
-            reference._run_checks(_access(op, pc), mode)
+            _run_checks(reference, _access(op, pc), mode)
         else:
             _apply_state(compiled, op)
             _apply_state(reference, op)
@@ -160,12 +189,20 @@ def test_clean_access_takes_the_fast_path(mode):
     assert runtime.kcsan.checks == 1
 
 
-def test_kmsan_configuration_uses_the_reference_path():
+def test_kmsan_configuration_takes_the_fast_path():
+    """KASAN's granule test serves KMSAN sets too; KMSAN still sees the
+    access (the store initializes, the load after it is clean)."""
     machine, runtime = _runtime("c", ("kasan", "kmsan"))
     runtime.kasan.on_alloc(HEAP, 32, 1)
+    runtime.kmsan.on_alloc(HEAP, 32, 1)
     _compiled(machine, runtime, ("access", 0, 4, True, 1, False), 0x10)
-    assert runtime.shadow.fastpath_hits == 0
-    assert runtime.shadow.check_ops == 1
+    _compiled(machine, runtime, ("access", 0, 4, False, 1, False), 0x18)
+    assert runtime.shadow.fastpath_hits == 2
+    assert runtime.shadow.check_ops == 2
+    assert runtime.kasan.checks == 2
+    assert runtime.kmsan.checks == 2
+    assert bytes(runtime.kmsan._objects[HEAP][:5]) == b"\x01" * 4 + b"\x00"
+    assert runtime.sink.count() == 0
 
 
 def test_check_charges_the_breakdown_load_telemetry_installs():

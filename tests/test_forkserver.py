@@ -333,6 +333,58 @@ class TestExecModeIdentity:
         assert fuzzer.target.restores > 0
         assert fuzzer.target.rebuilds == 1  # only the initial build
 
+    def test_restore_rewinds_kmsan_state(self):
+        """KMSAN's per-object init flags and its check counter are part
+        of restore ≡ rebuild: after driver programs have allocated,
+        written and freed tracked objects, a restore puts back exactly
+        the golden objects (in lookup order) that a fresh build has."""
+        from repro.fuzz.syzkaller import SyzkallerFuzzer
+
+        def build():
+            return SyzkallerFuzzer(
+                "OpenWRT-armvirt", surface="driver", seed=1,
+                sanitizers=("kasan", "kmsan"), exec_mode="forkserver",
+            )
+
+        def kmsan_state(target):
+            kmsan = target.runtime.kmsan
+            objects = [(base, bytes(flags))
+                       for base, flags in kmsan._objects.items()]
+            return objects, kmsan.checks
+
+        fuzzer = build()
+        target = fuzzer.target
+        golden = kmsan_state(target)
+        assert golden[0]  # boot allocated tracked objects
+        fuzzer.run(60)
+        assert kmsan_state(target) != golden  # the programs moved it
+        target.reset()
+        assert target.restores >= 1
+        assert kmsan_state(target) == golden
+        assert kmsan_state(build().target) == golden
+
+    def test_kmsan_only_change_moves_the_epoch(self):
+        """A store that only initializes KMSAN flags (clean for KASAN, no
+        alloc or free) must still make the restore reload the runtime."""
+        from repro.emulator.hypercalls import Hypercall
+        from repro.sanitizers.runtime.runtime import (
+            CommonSanitizerRuntime,
+            RuntimeConfig,
+        )
+
+        heap = 0x4000_1000
+        machine = Machine(arch_by_name("arm"), name="kmsan-epoch")
+        config = RuntimeConfig(sanitizers=("kasan", "kmsan"))
+        runtime = CommonSanitizerRuntime(machine, config).attach()
+        runtime.enabled = True
+        runtime.kmsan.on_alloc(heap, 16, 1)
+        server = ForkServer(machine)
+        machine.vmcall(Hypercall.SAN_STORE, [heap, 4, 0], pc=0x10, task=1)
+        assert bytes(runtime.kmsan._objects[heap][:4]) == b"\x01" * 4
+        assert server.restore().providers_reloaded == 1
+        assert bytes(runtime.kmsan._objects[heap]) == bytes(16)
+        assert runtime.kmsan.checks == 0
+
     def test_kill_and_resume_under_forkserver(self, tmp_path, monkeypatch):
         reference = run_campaign(
             "InfiniTime", budget=400, seed=3, exec_mode="forkserver",

@@ -1,14 +1,20 @@
 """Tests: the KMSAN-functionality extension (§5 adaptability exercise)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DslError
 from repro.firmware.builder import build_with_embsan
 from repro.firmware.instrument import InstrumentationMode
-from repro.mem.access import Access
+from repro.mem.access import Access, AccessKind
 from repro.os.embedded_linux.syscalls import Syscall as S
 from repro.sanitizers.runtime.kmsan import KmsanEngine
-from repro.sanitizers.runtime.reports import BugType, ReportSink
+from repro.sanitizers.runtime.reports import (
+    BugType,
+    ReportSink,
+    SanitizerReport,
+)
 from repro.sanitizers.runtime.runtime import RuntimeConfig
 from tests.conftest import small_linux_factory
 
@@ -67,6 +73,89 @@ class TestEngine:
         engine = self.make()
         engine.on_alloc(ADDR, 4096, cache=0xFFFF)
         assert engine.check(access(ADDR)) is None
+
+
+class _LoopKmsan(KmsanEngine):
+    """The engine's byte-at-a-time loops, frozen as the oracle for the
+    slice store and ``bytearray.find`` load check."""
+
+    def check(self, access):
+        if self.suppress_depth:
+            return None
+        if access.kind not in (AccessKind.DATA, AccessKind.RANGE,
+                               AccessKind.DMA):
+            return None
+        hit = self._find(access.addr, access.size)
+        if hit is None:
+            return None
+        base, flags = hit
+        start = access.addr - base
+        self.checks += 1
+        if access.is_write:
+            for idx in range(start, start + access.size):
+                flags[idx] = 1
+            return None
+        bad = next(
+            (idx for idx in range(start, start + access.size)
+             if not flags[idx]),
+            None,
+        )
+        if bad is None:
+            return None
+        return self.sink.emit(SanitizerReport(
+            self.tool, BugType.UNINIT_READ, base + bad, access.size,
+            False, access.pc, access.task,
+            detail=f"byte {bad} of the object at {base:#010x} was never written",
+        ))
+
+    def mark_initialized(self, addr, size):
+        hit = self._find(addr, max(size, 1))
+        if hit is None:
+            return
+        base, flags = hit
+        start = addr - base
+        for idx in range(start, min(start + size, len(flags))):
+            flags[idx] = 1
+
+
+_SLOT = 40  #: slot stride; objects of up to 48 bytes overlap the next slot
+engine_ops = st.one_of(
+    st.tuples(st.just("alloc"), st.integers(0, 5), st.integers(1, 48),
+              st.sampled_from([1, 0xFFFF])),
+    st.tuples(st.just("free"), st.integers(0, 5)),
+    st.tuples(st.just("access"), st.integers(-8, 6 * _SLOT),
+              st.integers(1, 24), st.booleans(),
+              st.sampled_from([AccessKind.DATA, AccessKind.RANGE,
+                               AccessKind.DMA, AccessKind.FETCH])),
+    st.tuples(st.just("init"), st.integers(-8, 6 * _SLOT),
+              st.integers(0, 64)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequence=st.lists(engine_ops, min_size=1, max_size=40))
+def test_engine_matches_byte_loops(sequence):
+    engines = [KmsanEngine(ReportSink()), _LoopKmsan(ReportSink())]
+    for pc, op in enumerate(sequence):
+        for engine in engines:
+            if op[0] == "alloc":
+                engine.on_alloc(ADDR + op[1] * _SLOT, op[2], op[3])
+            elif op[0] == "free":
+                engine.on_free(ADDR + op[1] * _SLOT)
+            elif op[0] == "access":
+                _, offset, size, write, kind = op
+                engine.check(Access(ADDR + offset, size, write, pc=pc,
+                                    task=1, kind=kind))
+            else:
+                engine.mark_initialized(ADDR + op[1], op[2])
+    fast, loops = engines
+    assert fast.checks == loops.checks
+    assert list(fast._objects.items()) == list(loops._objects.items())
+    def reports(engine):
+        return [(r.bug_type, r.addr, r.size, r.pc, r.detail)
+                for r in engine.sink.reports]
+
+    assert reports(fast) == reports(loops)
 
 
 class TestRuntimeIntegration:
