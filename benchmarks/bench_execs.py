@@ -1,20 +1,21 @@
-"""Execution-throughput benchmark: journal vs fork-server resets.
+"""Execution-throughput benchmark: fork-server restore vs rebuild.
 
-Runs the same campaign budget in both execution modes at
-``refresh_interval=1`` — one pristine target per program, the
-canonical AFL fork-server cadence, where reset cost dominates — on a
-small firmware and on the largest-RAM firmware in the catalog, and
-records executions per wall-clock second for each.  At the default
-refresh cadence the modes are within noise of each other (guest
-execution dominates; see the reset-cost section of
-``docs/cost_model.md``); this benchmark measures the regime the fork
-server exists for.
+Runs the same campaign budget twice at ``refresh_interval=1`` — one
+pristine target per program, the canonical AFL fork-server cadence,
+where reset cost dominates — on a small firmware and on the
+largest-RAM firmware in the catalog, and records executions per
+wall-clock second for each.  One run resets by the fork server's
+dirty-page delta restore (``forkserver``), the other by its fallback,
+a rebuild of the firmware at every reset (``rebuild``).  At the
+default refresh cadence resets are rare and guest execution dominates
+(see the reset-cost section of ``docs/cost_model.md``); this benchmark
+measures the regime the fork server exists for.
 
 Asserted floors:
 
-* fork-server >= 2x journal execs/s on the large-RAM case (the
-  dirty-page delta restore replaces an O(firmware) rebuild);
-* both modes produce byte-identical fuzzing outcomes (findings,
+* restore >= 2x rebuild execs/s on the large-RAM case (the dirty-page
+  delta restore replaces an O(firmware) rebuild);
+* both runs produce byte-identical fuzzing outcomes (findings,
   coverage, crash counts) — throughput must not buy divergence;
 * doubling DRAM leaves the per-restore cost for identical dirty work
   within noise (the restore is O(dirty pages), not O(RAM)).
@@ -32,7 +33,7 @@ import json
 import sys
 import time
 
-#: acceptance floor: fork-server vs journal execs/s on the large case
+#: acceptance floor: restore vs rebuild execs/s on the large case
 MIN_SPEEDUP_LARGE = 2.0
 #: dirty pages written per sample in the RAM-scaling measurement
 SCALING_PAGES = 8
@@ -62,6 +63,19 @@ def _outcome_bytes(fuzzer) -> str:
     )
 
 
+def _rebuild_every_reset(target) -> None:
+    """Make every reset of ``target`` take the fork server's fallback:
+    drop the golden state, rebuild the firmware, capture anew."""
+    reset = target.reset
+
+    def rebuild():
+        target.fork_server.detach()
+        target.fork_server = None
+        reset()
+
+    target.reset = rebuild
+
+
 def _run_mode(firmware: str, budget: int, mode: str) -> dict:
     from repro.firmware.registry import firmware_spec
     from repro.fuzz.syzkaller import SyzkallerFuzzer
@@ -70,8 +84,10 @@ def _run_mode(firmware: str, budget: int, mode: str) -> dict:
     spec = firmware_spec(firmware)
     cls = SyzkallerFuzzer if spec.fuzzer == "syzkaller" else TardisFuzzer
     start = time.perf_counter()
-    fuzzer = cls(firmware, seed=SEED, exec_mode=mode)
+    fuzzer = cls(firmware, seed=SEED)
     setup_s = time.perf_counter() - start
+    if mode == "rebuild":
+        _rebuild_every_reset(fuzzer.target)
     # one pristine target per program: the fork-server cadence
     fuzzer.refresh_interval = 1
     start = time.perf_counter()
@@ -125,13 +141,13 @@ def profile_execs() -> dict:
     results = {"seed": SEED, "refresh_interval": 1, "cases": {}}
     for name, firmware, budget in CASES:
         case = {"firmware": firmware, "budget": budget}
-        for mode in ("journal", "forkserver"):
+        for mode in ("rebuild", "forkserver"):
             case[mode] = _run_mode(firmware, budget, mode)
-        case["identical"] = case["journal"].pop("outcome") == \
+        case["identical"] = case["rebuild"].pop("outcome") == \
             case["forkserver"].pop("outcome")
         case["speedup"] = round(
             case["forkserver"]["execs_per_sec"]
-            / case["journal"]["execs_per_sec"], 3)
+            / case["rebuild"]["execs_per_sec"], 3)
         results["cases"][name] = case
     results["scaling"] = profile_scaling()
     return results
@@ -140,10 +156,10 @@ def profile_execs() -> dict:
 def check(results: dict) -> None:
     for name, case in results["cases"].items():
         assert case["identical"], (
-            f"{name}: fork-server outcome diverged from journal mode")
+            f"{name}: restoring outcome diverged from rebuilding")
     large = results["cases"]["large"]
     assert large["speedup"] >= MIN_SPEEDUP_LARGE, (
-        f"fork-server speedup {large['speedup']}x on "
+        f"restore vs rebuild speedup {large['speedup']}x on "
         f"{large['firmware']} below the {MIN_SPEEDUP_LARGE}x floor")
     base = results["scaling"]["1"]["restore_us"]
     doubled = results["scaling"]["2"]["restore_us"]
@@ -163,7 +179,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     for name, case in results["cases"].items():
         print(f"{name:5s} {case['firmware']:16s} "
-              f"journal {case['journal']['execs_per_sec']:8.1f}/s  "
+              f"rebuild {case['rebuild']['execs_per_sec']:8.1f}/s  "
               f"forkserver {case['forkserver']['execs_per_sec']:8.1f}/s  "
               f"speedup {case['speedup']:.2f}x  "
               f"identical={case['identical']}")

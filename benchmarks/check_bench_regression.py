@@ -30,7 +30,7 @@ higher is better) gates the fork-server headline numbers on the
 large-RAM firmware:
 
 * ``cases.large.forkserver.execs_per_sec`` — delta-restore throughput
-* ``cases.large.speedup``                  — fork-server vs journal ratio
+* ``cases.large.speedup``                  — restore vs rebuild ratio
 
 Improvements and small fluctuations pass; CI runners are noisy, which
 is why the threshold is generous and why only *relative* changes gate.

@@ -33,7 +33,6 @@ import sys
 from typing import List, Optional
 
 from repro.fuzz.config import (
-    EXEC_MODES,
     SEED_SCHEDULES,
     SURFACES,
     CampaignConfig,
@@ -129,11 +128,6 @@ _CAMPAIGN_FLAGS = {
                                           "before GuestHang"),
     "watchdog_cycles": dict(type=float,
                             help="per-program cycle budget before GuestHang"),
-    "exec_mode": dict(default=CampaignConfig.exec_mode, choices=EXEC_MODES,
-                      help="target reset strategy: per-program journal + "
-                           "rebuild-per-refresh, or a golden fork-server "
-                           "snapshot with dirty-page delta restores "
-                           "(same census, higher execs/s)"),
     "seed_schedule": dict(default=CampaignConfig.seed_schedule,
                           choices=SEED_SCHEDULES,
                           help="corpus seed selection; 'rarity' weights "
@@ -779,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("firmware")
     _add_campaign_flags(fuzz, "budget", "seed", "faults", "checkpoint_every",
                         "crash_budget", "watchdog_insns", "watchdog_cycles",
-                        "exec_mode", "seed_schedule", "surface")
+                        "seed_schedule", "surface")
     fuzz.add_argument("--checkpoint", default=None, metavar="PATH",
                       help="checkpoint file; resumes if it exists")
     fuzz.add_argument("--corpus-dir", default=None, metavar="DIR",
@@ -801,8 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_all.add_argument("--workers", type=int, default=1,
                           help="worker processes (1 = in-process sequential)")
-    _add_campaign_flags(fuzz_all, "budget", "seed", "faults", "exec_mode",
-                        "surface", "crash_budget")
+    _add_campaign_flags(fuzz_all, "budget", "seed", "faults", "surface",
+                        "crash_budget")
     fuzz_all.add_argument("--firmware", action="append", default=None,
                           metavar="NAME",
                           help="restrict the sweep (repeatable); "
@@ -929,8 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--connect", required=True, metavar="HOST:PORT")
     submit.add_argument("--token", default=None)
     _add_campaign_flags(submit, "budget", "seed", "faults", "crash_budget",
-                        "watchdog_insns", "watchdog_cycles", "exec_mode",
-                        "surface", "checkpoint_every")
+                        "watchdog_insns", "watchdog_cycles", "surface",
+                        "checkpoint_every")
     submit.add_argument("--dedup-key", default=None,
                         help="idempotency key: resubmitting the same key "
                              "returns the original job, never a duplicate")

@@ -81,8 +81,8 @@ class Machine:
         #: delayed interrupts: [remaining_ticks, irq, device] triples, FIFO
         self._pending_irqs: List[list] = []
         self.irqs_delivered = 0
-        #: objects with save_state()/load_state() captured by Snapshot so
-        #: host-side runtime state (shadow memory, allocator maps) stays
+        #: objects with save_state()/load_state() captured by the fork
+        #: server so host-side runtime state (shadow memory, allocator maps) stays
         #: coherent with guest memory across restores
         self.state_providers: List[object] = []
         #: modeled peripherals (repro.periph.DeviceModel) attached via
@@ -122,7 +122,7 @@ class Machine:
 
         The device picks up three integrations for free: its MMIO
         region joins the address space, its functional state joins the
-        snapshot/fork-server provider list (register files, ring
+        fork-server provider list (register files, ring
         indices and pending work restore coherently), and it is listed
         for ``periph.*`` observability harvesting.  The default board
         never calls this, so device-less firmware is untouched.

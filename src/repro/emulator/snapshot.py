@@ -1,35 +1,27 @@
-"""Machine snapshots, lightweight checkpoints, and the fork server.
+"""The fork server: one golden ready-to-run state, restored by delta.
 
-Three restore strategies over one dirty-set abstraction
-(:mod:`repro.mem.dirty`), ordered by how much they copy:
+A fuzz target is reset by rewinding it to the state it had when it
+became ready to run (the Prober's ready-to-run point).
+:class:`ForkServer` captures that state once — engine and machine
+state, device models, provider state, and the host-side Python object
+graph of the rehosted kernel — and restores it between programs by
+copying back only the pages the session dirtied, invalidating only
+translations built from dirty code pages, and reloading only state
+providers whose epoch actually moved.  Cost is O(pages touched): the
+AFL fork-server idea applied to a rehosted machine.
 
-* :class:`Snapshot` — full capture / full restore.  Copies every RAM
-  region both ways; cost is O(machine size).  Used by the Prober's
-  multi-pass dry runs, where restores are rare and simplicity wins.
-  When a :class:`~repro.mem.dirty.DirtySet` is attached to the bus, a
-  full restore conservatively marks everything it rewrote dirty so a
-  later delta restore stays sound.
-* :class:`Checkpoint` — journal-backed rollback point.  Arms the bus
-  write journal and rewinds only the bytes an input actually wrote;
-  cost is O(bytes written).  The journal's pre-image log *is* its dirty
-  record, byte-exact, so rollback re-dirties nothing new.  Used for
-  per-input crash isolation in the journaled execution mode.
-* :class:`ForkServer` — golden snapshot + dirty-page delta restore.
-  Captures the ready-to-run state once (guest memory, engine and
-  machine state, device models, provider state, and the host-side
-  Python object graph of the rehosted kernel), then restores between
-  programs by copying back only the pages the session dirtied,
-  invalidating only translations built from dirty code pages, and
-  reloading only state providers whose epoch actually moved.  Cost is
-  O(pages touched) — the AFL fork-server idea applied to a rehosted
-  machine.
+Guest RAM is not copied at capture.  The bus's
+:class:`~repro.mem.dirty.DirtySet` saves each page's pre-image the
+first time it is written after capture, so the golden image of RAM is
+exactly the pages a campaign ever writes.  Device apertures are tiny
+and keep a full copy.
 
-Device and host-side observer state (hooks, tracers, metric registries)
-is deliberately *not* captured by any strategy: observers persist
-across restores.  The fork server additionally leaves each engine's
-translation cache and translation counters alone — surviving
-translations across resets is the point of the exercise — so TB
-statistics intentionally diverge from a rebuild-per-refresh run.
+Host-side observer state (hooks, tracers, metric registries) is
+deliberately *not* captured: observers persist across restores.  The
+fork server also leaves each engine's translation cache and
+translation counters alone — surviving translations across resets is
+the point of the exercise — so TB statistics intentionally diverge
+from a rebuild-per-refresh run.
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.emulator.machine import Machine
 from repro.errors import SnapshotError
 from repro.mem.dirty import PAGE_SHIFT, PAGE_SIZE, DirtySet
-from repro.mem.regions import MmioRegion
+from repro.mem.regions import MemoryRegion
 
 
 class _EngineState(NamedTuple):
@@ -72,143 +64,8 @@ def _restore_engine(engine, saved: _EngineState) -> None:
     engine.state.task = saved.task
 
 
-class Snapshot:
-    """An immutable capture of one machine's guest-visible state."""
-
-    def __init__(self, machine: Machine):
-        self._regions: Dict[str, bytes] = {}
-        for region in machine.bus.regions:
-            if isinstance(region, MmioRegion):
-                continue
-            self._regions[region.name] = bytes(region.data)
-        self._engines: List[_EngineState] = [
-            _capture_engine(engine) for engine in machine.engines
-        ]
-        self._ready = machine.ready
-        self._task = machine.current_task
-        # host-side runtime state (shadow memory, allocator maps, ...)
-        # captured via the provider protocol: save_state() -> opaque blob
-        self._provider_states = [
-            (provider, provider.save_state())
-            for provider in machine.state_providers
-        ]
-
-    def restore(self, machine: Machine) -> None:
-        """Write the captured state back into ``machine``.
-
-        Raises :class:`~repro.errors.SnapshotError` when a mapped region
-        cannot be restored faithfully — missing from the capture or
-        resized since — instead of silently leaving stale bytes behind.
-        """
-        dirty = machine.bus.dirty
-        for region in machine.bus.regions:
-            if isinstance(region, MmioRegion):
-                continue
-            saved = self._regions.get(region.name)
-            if saved is None:
-                raise SnapshotError(
-                    "mapped after the snapshot was taken; restore would "
-                    "leave its contents stale",
-                    region=region.name,
-                )
-            if len(saved) != region.size:
-                raise SnapshotError(
-                    f"snapshot holds {len(saved)} bytes but the region "
-                    f"is now {region.size} bytes",
-                    region=region.name,
-                )
-            region.data[:] = saved
-            if dirty is not None:
-                # full rewrite bypassed the bus: keep delta accounting sound
-                dirty.mark_all(region.name, region.size)
-        for engine, saved in zip(machine.engines, self._engines):
-            _restore_engine(engine, saved)
-            # Region restores above bypassed the bus, so cached translation
-            # blocks (and their chained links) may hold a stale code image.
-            flush = getattr(engine, "flush_tbs", None)
-            if flush is not None:
-                flush()
-        machine.ready = self._ready
-        machine.panicked = None
-        machine.current_task = self._task
-        # providers restore *after* guest memory so a provider that peeks
-        # at the bus (shadow reconstruction) sees the restored image
-        for provider, saved in self._provider_states:
-            provider.load_state(saved)
-
-    def ram_bytes(self) -> int:
-        """Total bytes captured (diagnostic)."""
-        return sum(len(data) for data in self._regions.values())
-
-
-def take(machine: Machine) -> Snapshot:
-    """Capture a snapshot of ``machine``."""
-    return Snapshot(machine)
-
-
-class Checkpoint:
-    """A journal-backed rollback point for per-input crash isolation.
-
-    Arms the machine's bus write journal at construction and captures
-    engine registers plus machine flags.  Exactly one of
-    :meth:`commit` (keep all writes) or :meth:`rollback` (rewind them,
-    LIFO) must be called; both disarm the journal.  Cost scales with
-    bytes *written* after the checkpoint, not with RAM size, so a fuzzer
-    can afford one per executed program.
-    """
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-        self._engines: List[_EngineState] = [
-            _capture_engine(engine) for engine in machine.engines
-        ]
-        self._ready = machine.ready
-        self._panicked = machine.panicked
-        self._task = machine.current_task
-        machine.bus.journal_begin()
-        self.active = True
-
-    def commit(self) -> int:
-        """Keep everything written since the checkpoint."""
-        if not self.active:
-            return 0
-        self.active = False
-        return self.machine.bus.journal_commit()
-
-    def rollback(self) -> int:
-        """Rewind guest memory, engine state and machine flags.
-
-        Translation caches are invalidated only over the journalled
-        write span: a rollback that touched no translated code — the
-        overwhelmingly common case, since fuzz inputs write data, not
-        instructions — keeps every cached block and its chain links.
-        """
-        if not self.active:
-            return 0
-        self.active = False
-        machine = self.machine
-        # read before rollback: rollback consumes the journal
-        bounds = machine.bus.journal_write_bounds()
-        undone = machine.bus.journal_rollback()
-        for engine, saved in zip(machine.engines, self._engines):
-            _restore_engine(engine, saved)
-            if bounds is None:
-                continue
-            invalidate = getattr(engine, "invalidate_range", None)
-            if invalidate is not None:
-                invalidate(bounds[0], bounds[1])
-            else:
-                flush = getattr(engine, "flush_tbs", None)
-                if flush is not None:
-                    flush()
-        machine.ready = self._ready
-        machine.panicked = self._panicked
-        machine.current_task = self._task
-        return undone
-
-
 # ----------------------------------------------------------------------
-# fork server: golden snapshot + dirty-page delta restore
+# fork server: golden state + dirty-page delta restore
 # ----------------------------------------------------------------------
 class RestoreStats(NamedTuple):
     """What one delta restore cost."""
@@ -225,9 +82,11 @@ class ForkServer:
     Capture once at the point the fuzz target is ready to accept
     programs; :meth:`restore` then rewinds the machine to that exact
     state in time proportional to the pages the session dirtied, not to
-    RAM size.  The restored state is byte-identical to what a fresh
-    rebuild-and-boot produces (boot is deterministic), which is the
-    contract the census byte-identity tests enforce.
+    RAM size.  Capture copies no RAM: the attached
+    :class:`~repro.mem.dirty.DirtySet` saves a page's golden bytes on
+    its first write.  The restored state is byte-identical to what a
+    fresh rebuild-and-boot produces (boot is deterministic), which is
+    the contract the restore-versus-rebuild tests enforce.
 
     ``host_roots`` seeds the host-side object walk: the rehosted kernel
     and its guest context.  Every plain-data attribute reachable from
@@ -241,17 +100,17 @@ class ForkServer:
         self.dirty = DirtySet()
         self.restores = 0
         bus = machine.bus
-        self._ram: Dict[str, bytes] = {}
+        #: the RAM regions the golden image covers, and their sizes
+        self._ram: Dict[str, Tuple[MemoryRegion, int]] = {}
         self._device_ram: Dict[str, bytes] = {}
         for region in bus.regions:
-            golden = bytes(region.data)
-            if isinstance(region, MmioRegion) or region.kind == "device":
+            if region.kind == "device":
                 # device apertures are tiny and their backing store must
                 # stay coherent with restored device-model attributes, so
                 # they restore in full every time
-                self._device_ram[region.name] = golden
+                self._device_ram[region.name] = bytes(region.data)
             else:
-                self._ram[region.name] = golden
+                self._ram[region.name] = (region, region.size)
         self._engines = [
             (
                 _capture_engine(engine),
@@ -302,6 +161,7 @@ class ForkServer:
             )
         self._host_state = _capture_host_state(host_roots)
         # from here on, every bus write marks pages for the next restore
+        # and saves the golden bytes of pages it writes for the first time
         bus.attach_dirty(self.dirty)
 
     # ------------------------------------------------------------------
@@ -314,29 +174,31 @@ class ForkServer:
         code_spans: List[Tuple[int, int]] = []
         for region in machine.bus.regions:
             name = region.name
-            if isinstance(region, MmioRegion) or region.kind == "device":
+            if region.kind == "device":
                 golden = self._device_ram.get(name)
                 if golden is not None and len(golden) == region.size:
                     region.data[:] = golden
                 continue
-            golden = self._ram.get(name)
-            if golden is None:
+            captured, size = self._ram.get(name, (None, 0))
+            if captured is None:
                 raise SnapshotError(
                     "mapped after the golden capture; delta restore "
                     "cannot reconstruct it",
                     region=name,
                 )
-            if len(golden) != region.size:
+            if captured is not region:
                 raise SnapshotError(
-                    f"golden image holds {len(golden)} bytes but the "
-                    f"region is now {region.size} bytes",
+                    "remapped after the golden capture; its golden "
+                    "pages belong to the old region",
                     region=name,
                 )
-            for lo, hi in dirty.spans(name):
-                if lo >= region.size:
-                    continue
-                hi = min(hi, region.size)
-                region.data[lo:hi] = golden[lo:hi]
+            if size != region.size:
+                raise SnapshotError(
+                    f"golden image covers {size} bytes but the region "
+                    f"is now {region.size} bytes",
+                    region=name,
+                )
+            for lo, hi in dirty.rewind(region):
                 pages += (hi - lo + PAGE_SIZE - 1) >> PAGE_SHIFT
                 code_spans.append((region.base + lo, region.base + hi))
         tb_dropped = 0
@@ -376,8 +238,9 @@ class ForkServer:
             watchdog._ring.clear()
             watchdog._ring.extend(ring)
         _restore_host_state(self._host_state)
-        # providers restore after guest memory (see Snapshot.restore);
-        # the epoch gate skips the semantic reload entirely when nothing
+        # providers restore *after* guest memory so a provider that peeks
+        # at the bus (shadow reconstruction) sees the restored image; the
+        # epoch gate skips the semantic reload entirely when nothing
         # the provider tracks actually changed, and telemetry (counters,
         # report sink) rewinds unconditionally — it moves on every check
         reloaded = 0
@@ -403,8 +266,9 @@ class ForkServer:
             self.machine.bus.detach_dirty()
 
     def ram_bytes(self) -> int:
-        """Total golden bytes captured (diagnostic)."""
-        return sum(len(data) for data in self._ram.values()) + sum(
+        """Golden bytes held (diagnostic): the device apertures plus the
+        pages written since capture."""
+        return self.dirty.golden_bytes() + sum(
             len(data) for data in self._device_ram.values()
         )
 

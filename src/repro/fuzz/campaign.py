@@ -103,18 +103,19 @@ def run_campaign(
 
     ``firmware`` is a firmware name or a :class:`CampaignConfig`;
     ``knobs`` are :class:`CampaignConfig` fields (``budget``, ``seed``,
-    ``faults``, ``exec_mode``, ...) set or overridden on it.  The
-    campaign's fault plan is compiled from ``faults`` here and seeded
-    from ``seed``; with ``seeds`` set, the campaign repeats across them
-    (see :func:`run_campaign_repeated`) sharing that one plan.
+    ``faults``, ``surface``, ...) set or overridden on it; the retired
+    ``exec_mode`` knob is accepted and ignored.  The campaign's fault
+    plan is compiled from ``faults`` here and seeded from ``seed``; with
+    ``seeds`` set, the campaign repeats across them (see
+    :func:`run_campaign_repeated`) sharing that one plan.
 
     When ``checkpoint_path`` is set, campaign state is serialized there
     every ``checkpoint_every`` execs (default
     :data:`DEFAULT_CHECKPOINT_EVERY`) and an existing checkpoint at that
     path resumes the campaign mid-budget; the resumed run produces the
     same census and findings as an uninterrupted one.  A checkpoint
-    taken under different knobs (other than ``budget`` and
-    ``exec_mode``) is refused with :class:`FuzzerError`.
+    taken under different knobs (other than ``budget``) is refused with
+    :class:`FuzzerError`.
 
     ``corpus_dir`` attaches a persistent :class:`repro.corpus.CorpusStore`:
     existing entries seed the campaign (with an unmutated triage pass),
@@ -133,11 +134,10 @@ def run_campaign(
     *results* — findings, census, checkpoints — are byte-identical with
     or without one (only ``diagnostics.phase_timings`` appears).
 
-    ``exec_mode`` selects the target reset strategy (see
-    ``docs/forkserver.md``): ``"journal"`` rebuilds the firmware at
-    every refresh and journals each program, ``"forkserver"`` rewinds a
-    golden snapshot by copying back only dirty pages.  The census is
-    byte-identical either way; only throughput differs.
+    Every refresh rewinds the target to its golden fork-server state by
+    copying back only the pages the session dirtied (see
+    ``docs/forkserver.md``); the result is byte-identical to rebuilding
+    the firmware at every refresh.
 
     ``surface="driver"`` fuzzes the firmware's driver-op surface instead
     of its syscall/task API: the build attaches the modeled peripherals
@@ -218,7 +218,6 @@ def _run_single(config: CampaignConfig, fault_plan, checkpoint_path,
             corpus_store=corpus_store,
             seed_schedule=config.seed_schedule,
             shard=config.shard,
-            exec_mode=config.exec_mode,
             surface=config.surface,
         )
         fuzzer.config_identity = identity

@@ -33,6 +33,7 @@ import os
 from typing import Optional
 
 from repro.errors import CheckpointError, CorpusError, FuzzerError
+from repro.fuzz.config import RETIRED_FIELDS
 from repro.fuzz.diagnostics import CampaignDiagnostics, CrashRecord
 from repro.fuzz.engine import Finding, FuzzerEngine
 from repro.fuzz.program import Program
@@ -166,7 +167,7 @@ def _restore_corpus_from_store(fuzzer: FuzzerEngine, digests) -> None:
 def engine_state(
     fuzzer: FuzzerEngine, firmware: str, budget: int
 ) -> dict:
-    """Snapshot a fuzzer's deterministic state as a JSON-encodable dict."""
+    """Capture a fuzzer's deterministic state as a JSON-encodable dict."""
     state = {
         "version": FORMAT_VERSION,
         "firmware": firmware,
@@ -232,12 +233,13 @@ def restore_engine(fuzzer: FuzzerEngine, state: dict, firmware: str) -> None:
     stored, identity = state.get("config_digest"), fuzzer.config_identity
     if identity is not None and isinstance(stored, dict):
         changed = sorted(name for name in set(stored) | set(identity)
-                         if stored.get(name) != identity.get(name))
+                         if name not in RETIRED_FIELDS
+                         and stored.get(name) != identity.get(name))
         if changed:
             raise FuzzerError(
                 f"checkpoint was taken under different campaign knobs: "
-                f"{', '.join(changed)} changed (only budget and "
-                f"exec_mode may change on resume)"
+                f"{', '.join(changed)} changed (only the budget may "
+                f"change on resume)"
             )
     try:
         fuzzer.execs = state["execs"]

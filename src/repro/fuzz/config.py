@@ -23,9 +23,6 @@ from typing import Optional, Tuple
 
 from repro.errors import FuzzerError
 
-#: target reset strategies: per-program journal + rebuild-per-refresh,
-#: or a golden fork-server snapshot with dirty-page delta restores
-EXEC_MODES = ("journal", "forkserver")
 #: fuzz surfaces a frontend can target: the default syscall/task API,
 #: or the driver-op surface of a driver=True build (modeled peripherals)
 SURFACES = ("syscall", "driver")
@@ -34,7 +31,6 @@ SEED_SCHEDULES = ("uniform", "rarity")
 
 #: the enumerated knobs and their allowed values
 CHOICES = {
-    "exec_mode": EXEC_MODES,
     "surface": SURFACES,
     "seed_schedule": SEED_SCHEDULES,
 }
@@ -44,9 +40,13 @@ CHOICES = {
 #: refreshes the campaign performs anyway
 DEFAULT_CHECKPOINT_EVERY = 500
 
-#: knobs a resumed checkpoint may change: a resume may extend the
-#: budget, and the exec mode never changes outcomes
-RESUMABLE_FIELDS = frozenset({"budget", "exec_mode"})
+#: knobs a resumed checkpoint may change: a resume may extend the budget
+RESUMABLE_FIELDS = frozenset({"budget"})
+
+#: knobs that no longer exist but that old WAL specs, job payloads,
+#: checkpoints and callers may still carry; they are dropped, whatever
+#: their value (``exec_mode``: the fork server is the only reset)
+RETIRED_FIELDS = frozenset({"exec_mode"})
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ class CampaignConfig:
     watchdog_cycles: float = 5_000_000
     #: the enumerated knobs default to the first of their :data:`CHOICES`
     seed_schedule: str = SEED_SCHEDULES[0]
-    exec_mode: str = EXEC_MODES[0]
     surface: str = SURFACES[0]
     #: execs between checkpoints (0 = :data:`DEFAULT_CHECKPOINT_EVERY`)
     checkpoint_every: int = 0
@@ -136,15 +135,16 @@ class CampaignConfig:
                   ) -> "CampaignConfig":
         """Decode (and check) a :meth:`to_json` object.
 
-        Unknown keys are refused unless ``ignore_unknown`` — the serve
-        daemon replays WAL specs an older daemon admitted, which may
-        carry retired knobs.
+        :data:`RETIRED_FIELDS` are dropped.  Other unknown keys are
+        refused unless ``ignore_unknown`` — the serve daemon replays WAL
+        specs an older daemon admitted, which may carry knobs retired
+        before :data:`RETIRED_FIELDS` listed them.
         """
         if not isinstance(data, dict):
             raise FuzzerError(
                 f"spec must be an object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - known - RETIRED_FIELDS)
         if unknown and not ignore_unknown:
             raise FuzzerError(f"unknown spec fields: {', '.join(unknown)}")
         if "firmware" not in data:
@@ -174,7 +174,9 @@ class CampaignConfig:
 
 def campaign_config(firmware, **knobs) -> CampaignConfig:
     """A config from a firmware name and knobs, or a config plus
-    overrides (derived with :func:`dataclasses.replace`)."""
+    overrides (derived with :func:`dataclasses.replace`).
+    :data:`RETIRED_FIELDS` among the knobs are dropped."""
+    knobs = {k: v for k, v in knobs.items() if k not in RETIRED_FIELDS}
     if isinstance(firmware, CampaignConfig):
         return replace(firmware, **knobs) if knobs else firmware
     return CampaignConfig(firmware, **knobs)

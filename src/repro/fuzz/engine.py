@@ -11,11 +11,10 @@ import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.emulator.snapshot import Checkpoint, ForkServer
+from repro.emulator.snapshot import ForkServer
 from repro.errors import GuestFault, GuestHang
 from repro.firmware.builder import attach_runtime
 from repro.firmware.registry import build_firmware
-from repro.fuzz.config import EXEC_MODES  # noqa: F401 - re-exported
 from repro.fuzz.config import CampaignConfig, check_choice, check_shard
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.diagnostics import CrashRecord, capture_crash
@@ -68,31 +67,21 @@ class Finding:
 class FuzzTarget:
     """One live firmware instance under test.
 
-    ``make`` builds a fresh (image, runtime, coverage) triple.
-
-    ``exec_mode`` selects the reset strategy:
-
-    * ``"journal"`` — every program runs behind a journal-backed
-      :class:`Checkpoint`, and each refresh rebuilds the target from
-      scratch through ``make``.
-    * ``"forkserver"`` — a golden :class:`ForkServer` snapshot is
-      captured right after the first build; refreshes rewind to it by
-      copying back only dirty pages, and programs run without any
-      per-write journalling.  Boot is deterministic, so a restore is
-      byte-identical to a rebuild — census results match journal mode
-      exactly (the CI identity matrix enforces this).
+    ``make`` builds a fresh (image, runtime, coverage) triple.  Right
+    after a build the target captures a golden :class:`ForkServer`
+    state; every reset rewinds to it by copying back only the pages
+    the session dirtied.  Boot is deterministic, so a restore is
+    byte-identical to a rebuild, and the rebuild stays as the fallback
+    when a restore cannot be done.
     """
 
-    def __init__(self, make: Callable[[], tuple],
-                 exec_mode: str = CampaignConfig.exec_mode):
-        check_choice("exec_mode", exec_mode)
+    def __init__(self, make: Callable[[], tuple]):
         self.make = make
-        self.exec_mode = exec_mode
         self.image = None
         self.runtime = None
         self.coverage: Optional[CoverageMap] = None
         self.rebuilds = 0
-        #: fork-server delta restores performed (forkserver mode)
+        #: fork-server delta restores performed
         self.restores = 0
         self.fork_server: Optional[ForkServer] = None
         #: cost of the most recent reset (observability)
@@ -103,11 +92,10 @@ class FuzzTarget:
     def reset(self) -> None:
         """Return the target to a pristine ready-to-run state.
 
-        Journal mode rebuilds from scratch.  Fork-server mode rewinds
-        to the golden snapshot in O(dirty pages); if the delta restore
-        ever fails (a region was remapped, a task held a live
-        coroutine), it falls back to a full rebuild and captures a
-        fresh golden snapshot, so a campaign never dies to a restore.
+        Rewinds to the golden state in O(dirty pages).  If the restore
+        fails (a region was remapped, a task held a live coroutine), it
+        falls back to a full rebuild and captures a fresh golden state,
+        so a campaign never dies to a restore.
         """
         if self.fork_server is not None:
             try:
@@ -126,43 +114,29 @@ class FuzzTarget:
         self.rebuilds += 1
         self.last_reset_pages = 0
         self.last_reset_us = (time.perf_counter() - started) * 1e6
-        if self.exec_mode == "forkserver":
-            self.fork_server = ForkServer(
-                self.image.ctx.machine,
-                host_roots=(self.image.kernel, self.image.ctx),
-            )
-            # boot-time coverage: a rebuild re-collects it, so a restore
-            # must rewind the map to it rather than to empty
-            self._golden_points = frozenset(self.coverage.points)
+        self.fork_server = ForkServer(
+            self.image.ctx.machine,
+            host_roots=(self.image.kernel, self.image.ctx),
+        )
+        # boot-time coverage: a rebuild re-collects it, so a restore
+        # must rewind the map to it rather than to empty
+        self._golden_points = frozenset(self.coverage.points)
 
     def execute(self, program: Program, style: str) -> Optional[GuestFault]:
         """Run one program; returns the fault when the guest dies.
 
-        In journal mode each program runs behind a journal-backed
-        :class:`Checkpoint`: a :class:`GuestFault` (including watchdog
-        hangs) is part of normal fuzzing and commits — the engine's
-        crash-oracle and refresh logic handle it — but *any other*
-        escaping exception rolls guest memory and engine state back to
-        the pre-program point before re-raising, so the caller can
-        quarantine the input against a machine that is not also
-        corrupted.
-
-        In fork-server mode there is no per-program journal — dropping
-        the per-write pre-image log is most of the throughput win — and
-        the dirty-page restore at the next refresh is the isolation
-        boundary instead.  A host-level crash therefore quarantines
-        against the crashed (not rolled-back) state; the engine's
-        recovery path restores the golden snapshot immediately after.
+        A :class:`GuestFault` (including watchdog hangs) is part of
+        normal fuzzing: the engine's crash oracle and refresh logic
+        handle it.  Any other exception escapes with the machine as the
+        program left it; the engine quarantines the program against that
+        state and then resets the target, and the reset is the isolation
+        boundary.
         """
         ctx = self.image.ctx
         kernel = self.image.kernel
-        machine = ctx.machine
-        watchdog = machine.watchdog
+        watchdog = ctx.machine.watchdog
         if watchdog is not None:
             watchdog.reset()  # budgets are per-program
-        checkpoint = (
-            Checkpoint(machine) if self.exec_mode == "journal" else None
-        )
         pool = ResourcePool()
         try:
             for nr, args, produces in program.resolve():
@@ -176,15 +150,7 @@ class FuzzTarget:
                 if produces and isinstance(result, int):
                     pool.put(produces, result)
         except GuestFault as fault:
-            if checkpoint is not None:
-                checkpoint.commit()
             return fault
-        except BaseException:
-            if checkpoint is not None:
-                checkpoint.rollback()
-            raise
-        if checkpoint is not None:
-            checkpoint.commit()
         return None
 
 
@@ -524,8 +490,8 @@ class FuzzerEngine:
             self.degraded = True
             return
         try:
-            # stage 1: rebuild — Checkpoint rolled guest memory back,
-            # but host-side kernel objects may be inconsistent
+            # stage 1: reset — rewinds guest memory and host-side kernel
+            # objects to the golden state (or rebuilds if that fails)
             self._fresh_target()
         except Exception:
             self.degraded = True
@@ -676,8 +642,8 @@ class FirmwareFuzzer(FuzzerEngine):
         corpus_store=None,
         seed_schedule: str = CampaignConfig.seed_schedule,
         shard=None,
-        exec_mode: str = CampaignConfig.exec_mode,
         surface: str = CampaignConfig.surface,
+        exec_mode=None,
     ):
         check_choice("surface", surface)
         self.firmware = firmware
@@ -700,7 +666,9 @@ class FirmwareFuzzer(FuzzerEngine):
             )
             return image, runtime, coverage
 
-        target = FuzzTarget(make, exec_mode=exec_mode)
+        # ``exec_mode`` is a retired knob (RETIRED_FIELDS), accepted and
+        # ignored: the fork server is the only reset
+        target = FuzzTarget(make)
         kernel = target.image.kernel
         spec = (driver_interface(kernel) if driver
                 else self.syscall_interface(kernel))

@@ -833,7 +833,7 @@ def run_sharded_fleet(
 
     ``firmware`` is a firmware name or a :class:`CampaignConfig`, and
     ``knobs`` are further config fields (``seed``, ``faults``,
-    ``exec_mode``, ...) shared by every shard.  ``workers`` caps
+    ``surface``, ...) shared by every shard.  ``workers`` caps
     concurrent shard processes (default: one per shard);
     ``fleet_options`` passes supervisor knobs (``heartbeat_timeout``,
     ``max_retries``, ``on_event``, ...).

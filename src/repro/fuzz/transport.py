@@ -48,8 +48,8 @@ Delivery contract: terminal events are retransmitted until acked, so
 the supervisor may see the same result twice — attempt-id idempotence
 (the supervisor drops terminal messages for jobs already ``done``)
 makes the duplicate harmless, and determinism makes even a *stale
-attempt's* result byte-identical to the live one.  Checkpoint custody:
-the server owns checkpoint files; job frames carry the checkpoint
+attempt's* result byte-identical to the live one.  The server keeps
+custody of checkpoints: it owns the files; job frames carry the checkpoint
 *state* out, ``checkpoint_sync`` events carry each fresh state (plus
 the corpus bundle it references) home, so a reassigned job resumes
 exactly where the dead remote got to.  See ``docs/robustness.md``.

@@ -36,9 +36,9 @@ Execution is tiered over one block cache and one probe set:
   paths the thunks use, and cycle/instruction/host-op accounting plus
   watchdog charging happen per constituent block, so observable state is
   bit-identical to the thunk tier.  Deopt mirrors TB chaining exactly:
-  ``flush_tbs()`` (SMC, probe changes, bulk/DMA writes, snapshot
-  restore) and ``invalidate_range()`` (journal rollback, fork-server
-  dirty-span restore) kill overlapping traces through a shared liveness
+  ``flush_tbs()`` (SMC, probe changes, bulk/DMA writes) and
+  ``invalidate_range()`` (fork-server dirty-page restore) kill
+  overlapping traces through a shared liveness
   cell that compiled code re-checks at every block boundary.
 
 Both tiers charge the guest cycles and instruction counts of the
@@ -265,8 +265,8 @@ class TcgEngine:
         """Drop only the translations overlapping ``[lo, hi)``.
 
         The surgical alternative to :meth:`flush_tbs` for memory rewinds
-        (journal rollback, dirty-page delta restore) whose written span
-        is known: blocks outside the span — the overwhelming majority —
+        (the fork server's dirty-page restore) whose written span is
+        known: blocks outside the span — the overwhelming majority —
         keep their translations *and* their chain links, because the
         generation counter is left untouched.  Dropped blocks get the
         eviction treatment (dead generation) so stale links into them
@@ -685,7 +685,7 @@ class TcgEngine:
         attaches its observer only while MEM_ACCESS has subscribers,
         see ``Machine._sync_bus_observer``) — while the probed
         templates' silent twins never notify anyone and only need the
-        fault plan (loads) or journal/dirty recording (stores) to be
+        fault plan (loads) or dirty-page recording (stores) to be
         absent.  Recomputed at trace entry and after every hypercall
         (the only points where host code can change any of these
         mid-trace).
@@ -693,7 +693,7 @@ class TcgEngine:
         bus = self.bus
         quiet = not bus._silent_depth and not bus._observers
         no_fault = bus.fault_plan is None
-        no_wlog = bus._journal is None and bus._dirty is None
+        no_wlog = bus._dirty is None
         return quiet and no_fault, quiet and no_wlog, no_fault, no_wlog
 
     def _jit_refill(self, mc: list, addr: int, for_write: bool) -> None:
@@ -702,8 +702,8 @@ class TcgEngine:
         Called from a trace's slow path after the bus access succeeded.
         Device regions (MMIO dispatch) and permission mismatches leave
         the cache invalid (``[1, 0, ...]``) so the site stays on the bus
-        path.  Restore strategies mutate ``region.data`` in place, never
-        reassign it, so a cached buffer reference stays coherent for the
+        path.  The fork server's restore mutates ``region.data`` in place,
+        never reassigns it, so a cached buffer reference stays coherent for the
         trace's lifetime.
         """
         region = self.bus.region_at(addr)

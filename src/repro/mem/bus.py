@@ -46,8 +46,6 @@ class MemoryBus:
         self._silent_depth = 0
         #: optional FaultPlan whose mutate_load() filters guest loads
         self.fault_plan = None
-        #: active write journal (pre-image log) or None; see journal_begin
-        self._journal: Optional[list] = None
         #: attached DirtySet receiving page marks for every RAM write,
         #: or None; see attach_dirty
         self._dirty = None
@@ -165,80 +163,21 @@ class MemoryBus:
             observer(access)
 
     # ------------------------------------------------------------------
-    # write journal (crash-isolation rollback)
-    # ------------------------------------------------------------------
-    def journal_begin(self) -> None:
-        """Start recording pre-images of every RAM write.
-
-        While active, scalar and bulk writes into non-device regions log
-        ``(region, offset, old_bytes)`` so :meth:`journal_rollback` can
-        rewind guest memory to the begin point in O(bytes written) — a
-        lightweight alternative to a full Snapshot for per-input crash
-        isolation.  Device (MMIO) writes are never journalled: they have
-        host-side effects a memory rewind cannot undo.
-        """
-        if self._journal is not None:
-            raise BusError("write journal already active")
-        self._journal = []
-
-    def journal_commit(self) -> int:
-        """Stop journalling, keeping all writes; returns entries dropped."""
-        journal = self._journal
-        if journal is None:
-            raise BusError("no write journal active")
-        self._journal = None
-        return len(journal)
-
-    def journal_rollback(self) -> int:
-        """Stop journalling and rewind every journalled write (LIFO)."""
-        journal = self._journal
-        if journal is None:
-            raise BusError("no write journal active")
-        self._journal = None
-        for region, off, old in reversed(journal):
-            region.data[off : off + len(old)] = old
-        return len(journal)
-
-    @property
-    def journal_active(self) -> bool:
-        """True while a write journal is recording."""
-        return self._journal is not None
-
-    def journal_write_bounds(self) -> Optional[tuple]:
-        """Absolute ``(lo, hi)`` span covering all journalled writes.
-
-        Returns None when no journal is active or it recorded nothing.
-        Must be read *before* commit/rollback (both clear the journal);
-        the rollback path uses it to invalidate only the translations
-        the rewind can actually have changed instead of flushing whole
-        TB caches.
-        """
-        journal = self._journal
-        if not journal:
-            return None
-        lo = hi = None
-        for region, off, old in journal:
-            start = region.base + off
-            end = start + len(old)
-            if lo is None or start < lo:
-                lo = start
-            if hi is None or end > hi:
-                hi = end
-        return (lo, hi)
-
-    # ------------------------------------------------------------------
     # dirty-page tracking (fork-server delta restore)
     # ------------------------------------------------------------------
     def attach_dirty(self, dirty) -> None:
         """Attach a :class:`~repro.mem.dirty.DirtySet` to all write paths.
 
         While attached, every store into a non-device region marks the
-        covered pages dirty — scalar stores, silent stores, and the bulk
-        ``write_bytes``/``fill``/``copy``/DMA family alike.  Unlike the
-        journal this is a persistent accounting channel, not a scoped
-        one: it stays attached across programs and is consumed (and
-        cleared) by whoever owns the delta-restore strategy.
+        covered pages dirty *before* writing them — scalar stores,
+        silent stores, and the bulk ``write_bytes``/``fill``/``copy``/DMA
+        family alike — so the set can save each page's golden pre-image
+        on its first write.  It stays attached across programs and is
+        consumed by the fork server's restore.  A second set is refused:
+        it would take the first one's page marks.
         """
+        if self._dirty is not None:
+            raise BusError("a dirty-page set is already attached")
         self._dirty = dirty
 
     def detach_dirty(self) -> None:
@@ -289,14 +228,8 @@ class MemoryBus:
         region = self._resolve(addr, size, PERM_W)
         if self._observers:
             self._notify(Access(addr, size, True, pc, task, atomic=atomic))
-        if region.kind != "device":
-            if self._journal is not None:
-                off = addr - region.base
-                self._journal.append(
-                    (region, off, bytes(region.data[off : off + size]))
-                )
-            if self._dirty is not None:
-                self._dirty.mark(region.name, addr - region.base, size)
+        if self._dirty is not None and region.kind != "device":
+            self._dirty.mark(region, addr - region.base, size)
         region.write(addr, int(value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
 
     def load_silent(self, addr: int, size: int) -> int:
@@ -326,17 +259,11 @@ class MemoryBus:
     def store_silent(self, addr: int, size: int, value: int) -> None:
         """Scalar store with no observer notification (see load_silent).
 
-        Also what ``with untraced(): store(...)`` does: dirty and journal
-        marks, no observers, no fault plan."""
+        Also what ``with untraced(): store(...)`` does: dirty marks, no
+        observers, no fault plan."""
         region = self._resolve(addr, size, PERM_W)
-        if region.kind != "device":
-            if self._journal is not None:
-                off = addr - region.base
-                self._journal.append(
-                    (region, off, bytes(region.data[off : off + size]))
-                )
-            if self._dirty is not None:
-                self._dirty.mark(region.name, addr - region.base, size)
+        if self._dirty is not None and region.kind != "device":
+            self._dirty.mark(region, addr - region.base, size)
         region.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
 
     # ------------------------------------------------------------------
@@ -372,14 +299,8 @@ class MemoryBus:
         region = self._resolve(addr, len(payload), PERM_W)
         if self._observers:
             self._notify(Access(addr, len(payload), True, pc, task, kind=kind))
-        if region.kind != "device":
-            if self._journal is not None:
-                off = addr - region.base
-                self._journal.append(
-                    (region, off, bytes(region.data[off : off + len(payload)]))
-                )
-            if self._dirty is not None:
-                self._dirty.mark(region.name, addr - region.base, len(payload))
+        if self._dirty is not None and region.kind != "device":
+            self._dirty.mark(region, addr - region.base, len(payload))
         region.write(addr, bytes(payload))
         for watcher in self._write_watchers:
             watcher(addr, len(payload))

@@ -1,21 +1,14 @@
-"""Dirty-page tracking for delta snapshot restore.
+"""Dirty-page tracking and the golden image it saves on first write.
 
 A :class:`DirtySet` records, per memory region, which pages have been
-written since the last :meth:`clear`.  The bus marks pages on every
-store path (scalar stores, bulk writes, DMA); a fork-server restore
-then copies back only the dirty pages of a golden snapshot instead of
-every byte of RAM, making reset cost proportional to what the input
-touched rather than to machine size.
-
-The same abstraction underlies all three restore strategies in
-:mod:`repro.emulator.snapshot`:
-
-* ``Snapshot`` (full copy) conservatively marks everything it rewrites;
-* ``Checkpoint`` (journal) needs no page map — its pre-image log *is*
-  a byte-exact dirty record — but re-dirties only pages the journal
-  already marked when it rolls back;
-* ``ForkServer`` owns a DirtySet attached to the bus and consumes it
-  on every delta restore.
+written since the last restore.  The bus marks pages on every store
+path (scalar stores, silent stores, bulk writes, DMA) *before* it
+writes them, so the first mark of a page after capture can save the
+page's 4 KiB pre-image.  Those pre-images are the fork server's golden
+image of guest RAM (:class:`repro.emulator.snapshot.ForkServer`): a
+restore copies them back for the pages dirtied since the last restore.
+Capture therefore costs nothing per byte of RAM, and the golden image
+grows only with the pages a campaign ever writes.
 """
 
 from __future__ import annotations
@@ -28,38 +21,52 @@ PAGE_SHIFT = 12
 
 
 class DirtySet:
-    """Per-region sets of dirty page indices.
+    """Per-region dirty page indices plus their golden pre-images.
 
-    Keys are region *names* (stable across snapshots); values are sets
-    of page indices within the region.  The hot path is :meth:`mark`,
-    called on every guest store — it special-cases the overwhelmingly
-    common single-page write.
+    Keys are region *names* (stable across restores).  ``_pages`` holds
+    the pages written since the last :meth:`rewind`; ``_golden`` holds,
+    for every page written since capture, its bytes at capture time.
+    Every dirty page has a golden copy, so a rewind never reads RAM it
+    did not save.  The hot path is :meth:`mark`, called on every guest
+    store; a page already dirty costs one set lookup.
     """
 
-    __slots__ = ("_pages",)
+    __slots__ = ("_pages", "_golden")
 
     def __init__(self) -> None:
         self._pages: Dict[str, Set[int]] = {}
+        self._golden: Dict[str, Dict[int, bytes]] = {}
 
     # ------------------------------------------------------------------
     # marking (hot path)
     # ------------------------------------------------------------------
-    def mark(self, region_name: str, off: int, size: int) -> None:
-        """Mark the pages covering ``[off, off+size)`` dirty."""
-        first = off >> PAGE_SHIFT
-        pages = self._pages.get(region_name)
-        if pages is None:
-            pages = self._pages[region_name] = set()
-        last = (off + size - 1) >> PAGE_SHIFT
-        if first == last:
-            pages.add(first)
-        else:
-            pages.update(range(first, last + 1))
+    def mark(self, region, off: int, size: int) -> None:
+        """Mark the pages covering ``[off, off+size)`` of ``region`` dirty.
 
-    def mark_all(self, region_name: str, region_size: int) -> None:
-        """Mark every page of a region dirty (full-rewrite hygiene)."""
-        count = (region_size + PAGE_SIZE - 1) >> PAGE_SHIFT
-        self._pages[region_name] = set(range(count))
+        Must run before the write lands: a page's first mark since
+        capture saves its pre-image as the golden copy.
+        """
+        first = off >> PAGE_SHIFT
+        last = (off + size - 1) >> PAGE_SHIFT
+        pages = self._pages.get(region.name)
+        if pages is None:
+            pages = self._pages[region.name] = set()
+            self._golden[region.name] = {}
+        if first == last:
+            if first not in pages:
+                self._first_write(region, pages, first)
+            return
+        for page in range(first, last + 1):
+            if page not in pages:
+                self._first_write(region, pages, page)
+
+    def _first_write(self, region, pages: Set[int], page: int) -> None:
+        """First write to ``page`` since the last rewind."""
+        pages.add(page)
+        golden = self._golden[region.name]
+        if page not in golden:
+            lo = page << PAGE_SHIFT
+            golden[page] = bytes(region.data[lo : lo + PAGE_SIZE])
 
     # ------------------------------------------------------------------
     # consumption
@@ -71,8 +78,8 @@ class DirtySet:
     def spans(self, region_name: str) -> List[Tuple[int, int]]:
         """Merged ``(lo, hi)`` byte ranges covering the dirty pages.
 
-        Contiguous dirty pages coalesce into one span so the copy-back
-        runs as few (large) slice assignments as possible.
+        Contiguous dirty pages coalesce into one span, so a rewind
+        invalidates translations in as few ranges as possible.
         """
         pages = self._pages.get(region_name)
         if not pages:
@@ -89,6 +96,27 @@ class DirtySet:
         spans.append((start << PAGE_SHIFT, (prev + 1) << PAGE_SHIFT))
         return spans
 
+    def rewind(self, region) -> List[Tuple[int, int]]:
+        """Copy the golden pre-image of every dirty page of ``region``
+        back into it and mark the region clean.
+
+        Returns the rewritten byte spans (region-relative, clipped to
+        the region end), for translation-cache invalidation.
+        """
+        pages = self._pages.get(region.name)
+        if not pages:
+            return []
+        spans = self.spans(region.name)
+        data = region.data
+        golden = self._golden[region.name]
+        for page in pages:
+            image = golden[page]
+            lo = page << PAGE_SHIFT
+            data[lo : lo + len(image)] = image
+        pages.clear()
+        size = region.size
+        return [(lo, min(hi, size)) for lo, hi in spans]
+
     def page_count(self) -> int:
         """Total dirty pages across all regions."""
         return sum(len(pages) for pages in self._pages.values())
@@ -97,7 +125,15 @@ class DirtySet:
         """Regions with at least one dirty page."""
         return (name for name, pages in self._pages.items() if pages)
 
+    def golden_bytes(self) -> int:
+        """Bytes of golden pre-image saved so far."""
+        return sum(
+            len(image)
+            for images in self._golden.values()
+            for image in images.values()
+        )
+
     def clear(self) -> None:
-        """Forget all dirty pages (after a restore or golden capture)."""
+        """Forget the dirty pages; the golden copies stay."""
         for pages in self._pages.values():
             pages.clear()

@@ -183,7 +183,7 @@ class CommonSanitizerRuntime:
             for engine in self.machine.engines:
                 self._inject_probe(engine)
             self.machine.engine_listeners.append(self._inject_probe)
-        # register as a snapshot state provider so Snapshot.restore keeps
+        # register as a state provider so a fork-server restore keeps
         # shadow memory and allocator maps coherent with guest memory
         self.machine.state_providers.append(self)
         self.attached = True
@@ -210,10 +210,10 @@ class CommonSanitizerRuntime:
         self.attached = False
 
     # ------------------------------------------------------------------
-    # snapshot provider protocol
+    # state-provider protocol
     # ------------------------------------------------------------------
     def save_state(self) -> dict:
-        """Capture semantic sanitizer state for a machine Snapshot.
+        """Capture semantic sanitizer state for the fork server.
 
         Diagnostic counters (checks, events_handled, cycle breakdown) are
         deliberately excluded: they are monotonic telemetry, not guest

@@ -93,10 +93,10 @@ class ShadowMemory:
         self.fastpath_hits = 0
 
     # ------------------------------------------------------------------
-    # snapshot support
+    # state-provider support
     # ------------------------------------------------------------------
     def save_state(self) -> List[bytes]:
-        """Copy every region's shadow bytes (Snapshot provider protocol)."""
+        """Copy every region's shadow bytes (state-provider protocol)."""
         return [bytes(shadow.bytes) for shadow in self._shadows]
 
     def load_state(self, saved: List[bytes]) -> None:

@@ -57,3 +57,52 @@ def linux_d():
         "test-linux-d", "mips", small_linux_factory,
         InstrumentationMode.EMBSAN_D, sanitizers=("kasan",),
     )
+
+
+@pytest.fixture
+def assert_restore_equals_rebuild(monkeypatch):
+    """The fork server's contract, checked in one place: a campaign whose
+    target resets by delta restore reports exactly what it reports when
+    every reset rebuilds the firmware from scratch.
+
+    ``run()`` runs one campaign and returns its result; ``rebuild``
+    (default: ``run``) runs the same campaign for the reference side.
+    The reference side makes every :meth:`ForkServer.restore` raise, so
+    :class:`~repro.fuzz.engine.FuzzTarget` takes its rebuild fallback
+    at every reset.  When ``run`` is in-process (no ``rebuild`` given)
+    its side must really have restored.
+    """
+    import json
+
+    from repro.emulator.snapshot import ForkServer
+    from repro.fuzz.checkpoint import result_to_json
+
+    def canon(result) -> str:
+        return json.dumps(result_to_json(result), sort_keys=True)
+
+    def check(run, rebuild=None):
+        restores = []
+        original = ForkServer.restore
+
+        def counted(self):
+            restores.append(self)
+            return original(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ForkServer, "restore", counted)
+            restored = run()
+        assert restores or rebuild is not None
+        refused = []
+
+        def refuse(self):
+            refused.append(self)
+            raise RuntimeError("restore refused: rebuild instead")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ForkServer, "restore", refuse)
+            rebuilt = (rebuild or run)()
+        assert refused  # the reference side really rebuilt
+        assert canon(restored) == canon(rebuilt)
+        return restored
+
+    return check

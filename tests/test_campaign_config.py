@@ -19,6 +19,7 @@ from repro.errors import FuzzerError
 from repro.fuzz.campaign import CampaignResult
 from repro.fuzz.config import (
     RESUMABLE_FIELDS,
+    RETIRED_FIELDS,
     CampaignConfig,
     campaign_config,
 )
@@ -39,7 +40,6 @@ NON_DEFAULT = {
     "watchdog_insns": 4096,
     "watchdog_cycles": 8192.0,
     "seed_schedule": "rarity",
-    "exec_mode": "forkserver",
     "surface": "driver",
     "checkpoint_every": 100,
     "shard": (1, 2),
@@ -108,6 +108,10 @@ class TestConfigRecord:
             CampaignConfig("InfiniTime")
 
     def test_identity_covers_every_knob_but_budget_and_exec_mode(self):
+        """``exec_mode`` is retired: no longer a field, so no identity."""
+        assert RESUMABLE_FIELDS == {"budget"}
+        assert "exec_mode" not in {f.name for f in
+                                   dataclasses.fields(CampaignConfig)}
         config = CampaignConfig(**NON_DEFAULT)
         identity = config.identity()
         assert set(identity) == set(NON_DEFAULT) - RESUMABLE_FIELDS
@@ -117,6 +121,29 @@ class TestConfigRecord:
             changed = dataclasses.replace(config, **{f.name: f.default})
             differs = changed.identity() != identity
             assert differs == (f.name not in RESUMABLE_FIELDS), f.name
+
+
+class TestRetiredFields:
+    """Retired knobs are dropped in one place, whatever their value."""
+
+    @pytest.mark.parametrize("value", ["journal", "forkserver", "vmfork"])
+    def test_from_json_and_campaign_config_drop_exec_mode(self, value):
+        assert RETIRED_FIELDS == {"exec_mode"}
+        plain = CampaignConfig("InfiniTime", budget=40)
+        assert CampaignConfig.from_json(
+            {"firmware": "InfiniTime", "budget": 40, "exec_mode": value}
+        ) == plain
+        assert campaign_config("InfiniTime", budget=40,
+                               exec_mode=value) == plain
+        assert campaign_config(plain, exec_mode=value) is plain
+        assert validate_spec({"firmware": "InfiniTime", "budget": 40,
+                              "exec_mode": value}) == plain.to_json()
+
+    def test_fuzzer_constructors_accept_and_discard_exec_mode(self):
+        from repro.fuzz.tardis import TardisFuzzer
+
+        fuzzer = TardisFuzzer("InfiniTime", seed=1, exec_mode="journal")
+        assert fuzzer.target.fork_server is not None
 
 
 class TestRoundTrip:
@@ -190,14 +217,12 @@ class TestArgparseSnapshot:
             "faults": (None, None), "checkpoint_every": (0, None),
             "crash_budget": (None, None), "watchdog_insns": (None, None),
             "watchdog_cycles": (None, None),
-            "exec_mode": ("journal", ["journal", "forkserver"]),
             "seed_schedule": ("uniform", ["uniform", "rarity"]),
             "surface": ("syscall", ["syscall", "driver"]),
         },
         "fuzz-all": {
             "budget": (2000, None), "seed": (1, None),
             "faults": (None, None), "crash_budget": (None, None),
-            "exec_mode": ("journal", ["journal", "forkserver"]),
             "surface": ("syscall", ["syscall", "driver"]),
         },
         "submit": {
@@ -205,7 +230,6 @@ class TestArgparseSnapshot:
             "faults": (None, None), "checkpoint_every": (0, None),
             "crash_budget": (None, None), "watchdog_insns": (None, None),
             "watchdog_cycles": (None, None),
-            "exec_mode": ("journal", ["journal", "forkserver"]),
             "surface": ("syscall", ["syscall", "driver"]),
         },
     }

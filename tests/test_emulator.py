@@ -1,4 +1,4 @@
-"""Unit tests: machine, devices, hooks, hypercalls, snapshots."""
+"""Unit tests: machine, devices, hooks, hypercalls, fork-server restore."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.emulator.devices import DMA_CTRL, DMA_DST, DMA_LEN, DMA_SRC, UART_DAT
 from repro.emulator.events import EventKind
 from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import GuestPanic
-from repro.emulator.snapshot import take
+from repro.emulator.snapshot import ForkServer
 from repro.mem.access import AccessKind
 
 
@@ -119,41 +119,57 @@ class TestCycles:
 
 
 class TestSnapshot:
+    """The fork server's golden state on a bare machine."""
+
     def test_restore_memory_and_engine(self, machine):
         dram = machine.arch.region("dram")
         core = machine.add_cpu(pc=0x1234, sp=0x2000)
         machine.bus.write_bytes(dram.base, b"before")
-        snap = take(machine)
+        fork = ForkServer(machine)
         machine.bus.write_bytes(dram.base, b"AFTER!")
         core.state.pc = 0x9999
         core.state.write(3, 77)
-        snap.restore(machine)
+        fork.restore()
         assert machine.bus.read_bytes(dram.base, 6) == b"before"
         assert core.state.pc == 0x1234
         assert core.state.read(3) == 0
 
     def test_snapshot_size(self, machine):
-        snap = take(machine)
-        assert snap.ram_bytes() > 0
+        """Capture copies the device apertures, not RAM; each page
+        written afterwards adds its golden copy."""
+        devices = sum(r.size for r in machine.bus.regions
+                      if r.kind == "device")
+        fork = ForkServer(machine)
+        assert fork.ram_bytes() == devices > 0
+        machine.bus.fill(machine.arch.region("dram").base, 5000, 0xAA)
+        assert fork.ram_bytes() == devices + 2 * 4096
 
     def test_restore_preserves_regs_identity_and_flushes(self, machine):
         """Specialized TCG thunks bind the register list by identity and
         cache translations of the pre-restore code image; restore must
-        mutate the list in place and flush every engine's TB cache."""
-        core = machine.add_cpu(pc=0, sp=0)
+        mutate the list in place and drop translations of code pages it
+        rewrote."""
+        from repro.isa.assembler import assemble
+
+        flash = machine.arch.region("flash")
+        machine.bus.write_bytes(
+            flash.base, assemble("movi a0, 1\nhlt", base=flash.base).image)
+        core = machine.add_cpu(pc=flash.base, sp=0)
         regs = core.state.regs
-        snap = take(machine)
+        fork = ForkServer(machine)
+        core.run()
+        assert core.tb_cache
         core.state.write(3, 77)
-        flushes = core.tb_flush_count
-        snap.restore(machine)
+        machine.bus.store(flash.base + 4, 4, 0)  # scribble over the code
+        stats = fork.restore()
         assert core.state.regs is regs
         assert core.state.read(3) == 0
-        assert core.tb_flush_count == flushes + 1
+        assert stats.tb_dropped >= 1 and not core.tb_cache
 
     def test_restore_state_providers(self, machine):
-        """Snapshots capture registered host-side state (shadow memory,
-        quarantine, ...) alongside guest RAM, so a restore rewinds the
-        sanitizer's view of the heap together with the heap itself."""
+        """The golden state includes registered host-side state (shadow
+        memory, quarantine, ...) alongside guest RAM, so a restore
+        rewinds the sanitizer's view of the heap with the heap itself."""
 
         class Provider:
             def __init__(self):
@@ -167,9 +183,9 @@ class TestSnapshot:
 
         provider = Provider()
         machine.state_providers.append(provider)
-        snap = take(machine)
+        fork = ForkServer(machine)
         provider.value["x"] = 99
-        snap.restore(machine)
+        fork.restore()
         assert provider.value == {"x": 1}
 
     def test_runtime_registers_as_state_provider(self, linux_c):

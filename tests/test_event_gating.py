@@ -116,7 +116,7 @@ class TestJitMemFlags:
                  and all(o is machine._bus_observer for o in bus._observers)
                  and not machine.hooks.has_handlers(EventKind.MEM_ACCESS))
         no_fault = bus.fault_plan is None
-        no_wlog = bus._journal is None and bus._dirty is None
+        no_wlog = bus._dirty is None
         return quiet and no_fault, quiet and no_wlog, no_fault, no_wlog
 
     @pytest.mark.parametrize("mode,expected", [

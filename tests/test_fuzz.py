@@ -182,10 +182,11 @@ class TestCampaign:
 
 
 class TestMidCampaignSnapshot:
-    """Snapshot.restore mid-campaign must leave every layer coherent:
-    guest RAM, the attached core's TB caches, shadow memory and the
-    sanitizer runtime, so that fuzzing can continue and replaying the
-    same programs reproduces the pre-restore outcomes exactly."""
+    """A fork-server restore mid-campaign must leave every layer
+    coherent: guest RAM, the attached core's TB caches and compiled
+    traces, shadow memory and the sanitizer runtime, so that fuzzing can
+    continue and replaying the same programs reproduces the same
+    outcomes exactly."""
 
     @staticmethod
     def _outcome(fuzzer, program):
@@ -201,21 +202,18 @@ class TestMidCampaignSnapshot:
 
     @pytest.mark.parametrize("engine", ["tcg", "tcg-interp", "jit"])
     def test_restore_then_continue_fuzzing(self, monkeypatch, engine):
-        from repro.emulator.snapshot import take
-
         monkeypatch.setattr(Machine, "core_class", ISA_CORES[engine])
         fuzzer = TardisFuzzer(ISA_FIRMWARE, seed=4)
-        machine = fuzzer.target.image.ctx.machine
-        programs = [p.clone() for p in fuzzer.corpus[:6]]
-        for program in programs[:2]:
-            fuzzer.target.execute(program.clone(), fuzzer.spec.style)
-
-        snap = take(machine)
+        fork = fuzzer.target.fork_server
         runtime_state = fuzzer.target.runtime.save_state()
+        fuzzer.run(40)  # mid-campaign: translations warm, heap churned
+        programs = [p.clone() for p in fuzzer.corpus[:6]]
+
+        fork.restore()
         first = [self._outcome(fuzzer, p) for p in programs]
         assert any(retired for *_, retired in first)  # blob code ran
 
-        snap.restore(machine)
+        fork.restore()
         # the runtime rewound with the machine (shadow, quarantine,
         # pending stacks, console tail)
         assert fuzzer.target.runtime.save_state() == runtime_state
@@ -226,14 +224,10 @@ class TestMidCampaignSnapshot:
 
     @pytest.mark.parametrize("engine", ["tcg", "tcg-interp", "jit"])
     def test_restore_keeps_coverage_listener_live(self, monkeypatch, engine):
-        from repro.emulator.snapshot import take
-
         monkeypatch.setattr(Machine, "core_class", ISA_CORES[engine])
         fuzzer = TardisFuzzer(ISA_FIRMWARE, seed=4)
-        machine = fuzzer.target.image.ctx.machine
-        snap = take(machine)
         fuzzer.run(10)
-        snap.restore(machine)
+        fuzzer.target.fork_server.restore()
         before = len(fuzzer.target.coverage)
         fuzzer.step(fuzzer.corpus[0].clone())
         assert len(fuzzer.target.coverage) >= before

@@ -4,11 +4,11 @@ Allocator metadata walks (slab, heap4, mempool, mempart) read and write
 guest words through the context's raw accessor pair.  Those must behave
 exactly as ``with bus.untraced(): bus.load/store`` does on a bus with
 everything attached that a campaign attaches: a MEM_ACCESS subscriber,
-a fork-server ``DirtySet``, an active write journal and a fault plan
-that mutates every guest load.  Twin machines run the same operation
-sequence, one through each path, and must end with the same memory,
-dirty pages, journal and errors, with the subscriber silent and the
-fault plan's RNG untouched.
+a fork-server ``DirtySet`` (which saves golden pre-images on first
+write) and a fault plan that mutates every guest load.  Twin machines
+run the same operation sequence, one through each path, and must end
+with the same memory, dirty pages, golden pre-images and errors, with
+the subscriber silent and the fault plan's RNG untouched.
 """
 
 from hypothesis import given, settings
@@ -51,7 +51,6 @@ def _rig():
     machine.hooks.add(EventKind.MEM_ACCESS, seen.append)
     dirty = DirtySet()
     bus.attach_dirty(dirty)
-    bus.journal_begin()
     plan = FaultPlan(seed=7, flip_regions=(FlipRegion(0, 1 << 32, 1.0),))
     machine.set_fault_plan(plan)
     return GuestContext(machine), seen, dirty, plan
@@ -90,7 +89,8 @@ def _run(path, sequence):
                    for name in ("raw-ram", "raw-rom")},
         "dirty": {name: sorted(dirty.pages(name))
                   for name in dirty.region_names()},
-        "journal": [(region.name, off, old) for region, off, old in bus._journal],
+        "golden": {name: sorted(images.items())
+                   for name, images in dirty._golden.items()},
     }
 
 
@@ -101,13 +101,14 @@ def test_raw_accessors_match_untraced_bus_access(sequence):
 
 
 def test_rig_exercises_every_channel():
-    """The rig is live: a traced store reaches the subscriber, dirty set
-    and journal, and a traced load is mutated by the fault plan."""
+    """The rig is live: a traced store reaches the subscriber and the
+    dirty set (with its golden pre-image), and a traced load is mutated
+    by the fault plan."""
     ctx, seen, dirty, plan = _rig()
     ctx.bus.store(BASE, 4, 0x1234)
     assert len(seen) == 1
     assert sorted(dirty.pages("raw-ram")) == [0]
-    assert len(ctx.bus._journal) == 1
+    assert dirty.golden_bytes() == 0x1000
     assert ctx.bus.load(BASE, 4) != 0x1234
     assert plan.bit_flips == 1
     assert ctx.raw_ld32(BASE) == 0x1234

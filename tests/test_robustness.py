@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.emulator.faults import FaultPlan, FaultPlanError, FlipRegion, plan_for
-from repro.emulator.snapshot import Checkpoint
+from repro.emulator.snapshot import ForkServer
 from repro.emulator.watchdog import Watchdog
 from repro.errors import (
     BusError,
@@ -246,44 +246,55 @@ class TestFaultInjectionPoints:
 
 
 class TestCheckpointRollback:
+    """Per-program isolation rests on the fork server's golden state:
+    writes persist across the programs of a session, a restore rewinds
+    memory and engines, and the golden image grows with the pages
+    written, not with RAM."""
+
     def test_rollback_restores_memory_and_engine(self, machine):
         dram = machine.arch.region("dram")
         core = machine.add_cpu(pc=0x100, sp=0x200)
         machine.bus.write_bytes(dram.base, b"pristine")
-        checkpoint = Checkpoint(machine)
+        fork = ForkServer(machine)
         machine.bus.write_bytes(dram.base, b"CLOBBER!")
         core.state.pc = 0xDEAD
         core.state.write(3, 42)
-        checkpoint.rollback()
+        fork.restore()
         assert machine.bus.read_bytes(dram.base, 8) == b"pristine"
         assert core.state.pc == 0x100
         assert core.state.read(3) == 0
 
     def test_commit_keeps_changes(self, machine):
+        """Until the next restore, a session's writes stay: multi-input
+        state bugs need one program to see what an earlier one wrote."""
         dram = machine.arch.region("dram")
-        checkpoint = Checkpoint(machine)
+        ForkServer(machine)
         machine.bus.write_bytes(dram.base, b"kept")
-        checkpoint.commit()
-        assert machine.bus.read_bytes(dram.base, 4) == b"kept"
+        machine.bus.write_bytes(dram.base + 4, b"too!")
+        assert machine.bus.read_bytes(dram.base, 8) == b"kepttoo!"
 
     def test_journal_cost_scales_with_writes_not_ram(self, machine):
         dram = machine.arch.region("dram")
-        checkpoint = Checkpoint(machine)
+        fork = ForkServer(machine)
+        captured = fork.ram_bytes()
+        assert captured < dram.size // 1000  # kilobytes, not megabytes
         machine.bus.store(dram.base, 4, 7)
-        assert checkpoint.commit() <= 2  # entries, not megabytes
+        assert fork.ram_bytes() == captured + 4096  # one page
 
     def test_nested_journal_rejected(self, machine):
-        Checkpoint(machine)
-        with pytest.raises(BusError):
-            machine.bus.journal_begin()
+        """A second golden capture on the same bus would steal the first
+        one's page marks; it is refused."""
+        ForkServer(machine)
+        with pytest.raises(BusError, match="already attached"):
+            ForkServer(machine)
 
     def test_rollback_preserves_regs_identity(self, machine):
         """Specialized TCG closures bind the register list by identity."""
         core = machine.add_cpu(pc=0, sp=0)
         regs = core.state.regs
-        checkpoint = Checkpoint(machine)
+        fork = ForkServer(machine)
         core.state.write(5, 9)
-        checkpoint.rollback()
+        fork.restore()
         assert core.state.regs is regs
         assert core.state.read(5) == 0
 
@@ -341,19 +352,31 @@ class TestCrashIsolation:
         assert back.host_crashes == 3 and back.degraded
 
     def test_rollback_leaves_machine_coherent(self, monkeypatch):
+        """A host crash mid-write escapes ``execute`` with the machine as
+        the program left it; quarantine records it there, and the reset
+        that follows rewinds the machine to the golden state."""
         fuzzer = TardisFuzzer("InfiniTime", seed=1)
         machine = fuzzer.target.image.ctx.machine
         dram = machine.arch.region("dram")
         before = machine.bus.read_bytes(dram.base, 64)
+
+        def half_write(*args, **kwargs):
+            machine.bus.write_bytes(dram.base, b"\xee" * 32)
+            raise RuntimeError("mid-write")
+
         program = Program([Call("bomb", (), None)])
-        monkeypatch.setattr(
-            type(fuzzer.target.image.kernel), "invoke",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("mid-write")),
-        )
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(type(fuzzer.target.image.kernel), "invoke",
+                            half_write)
+        with pytest.raises(RuntimeError) as crash:
             fuzzer.target.execute(program, fuzzer.spec.style)
+        assert machine.bus.read_bytes(dram.base, 32) == b"\xee" * 32
+        restores = fuzzer.target.restores
+        fuzzer._quarantine(program, crash.value)
+        assert fuzzer.quarantined[-1].exc_type == "RuntimeError"
+        assert fuzzer.target.restores == restores + 1
+        assert fuzzer.target.image.ctx.machine is machine
         assert machine.bus.read_bytes(dram.base, 64) == before
-        assert not machine.bus.journal_active
+        assert machine.bus.dirty.page_count() == 0
 
 
 class TestCheckpointResume:
@@ -436,6 +459,8 @@ class TestCheckpointResume:
                                             ("forkserver", "journal")])
     def test_resume_may_extend_budget_and_switch_exec_mode(
             self, tmp_path, first, then):
+        """``exec_mode`` is retired: callers that still pass it, at any
+        value, run and resume the one fork-server campaign."""
         reference = run_campaign(
             "InfiniTime", budget=200, seed=3, checkpoint_every=100,
             checkpoint_path=str(tmp_path / "ref.json"))
@@ -457,6 +482,24 @@ class TestCheckpointResume:
                      checkpoint_path=path)
         state = load_checkpoint(path)
         del state["config_digest"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        resumed = run_campaign("InfiniTime", budget=200, seed=3,
+                               checkpoint_every=100, checkpoint_path=path)
+        assert _result_bytes(resumed) == _result_bytes(reference)
+
+    def test_checkpoint_carrying_retired_exec_mode_resumes(self, tmp_path):
+        """A checkpoint that names the retired ``exec_mode`` knob, even
+        at ``journal``, resumes to the uninterrupted result."""
+        reference = run_campaign(
+            "InfiniTime", budget=200, seed=3, checkpoint_every=100,
+            checkpoint_path=str(tmp_path / "ref.json"))
+        path = str(tmp_path / "cp.json")
+        run_campaign("InfiniTime", budget=100, seed=3, checkpoint_every=100,
+                     checkpoint_path=path)
+        state = load_checkpoint(path)
+        state["exec_mode"] = "journal"
+        state["config_digest"]["exec_mode"] = "0" * 16
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(state, fh)
         resumed = run_campaign("InfiniTime", budget=200, seed=3,

@@ -254,7 +254,7 @@ class TestContracts:
             validate_spec(_spec(bogus_knob=1))
 
     @pytest.mark.parametrize("knob", [
-        {"exec_mode": "bogus"},
+        {"checkpoint_every": -1},
         {"crash_budget": "3"},
         {"seeds": "abc"},
         {"surface": "nope"},
@@ -275,7 +275,9 @@ class TestContracts:
     def test_retired_engine_knobs(self, tmp_path):
         """``engine``/``jit_threshold``/``fault_seed`` are refused at
         admission, yet a job already in the WAL that carries them still
-        materializes and runs: unknown keys are ignored on replay."""
+        materializes and runs: unknown keys are ignored on replay.
+        ``exec_mode`` (a listed retired field) is dropped everywhere,
+        even at its old ``journal`` value."""
         from repro.fuzz.worker import _run_job
 
         for knob in ({"engine": "jit"}, {"jit_threshold": 8},
@@ -286,7 +288,7 @@ class TestContracts:
         # older daemon would have written
         q = JobQueue(str(tmp_path / "q"))
         q.submit(_spec(budget=60, engine="jit", jit_threshold=8,
-                       fault_seed=1))
+                       fault_seed=1, exec_mode="journal"))
         q.close()
         q = JobQueue(str(tmp_path / "q"))
         job = build_campaign_job(q.lease("owner"), str(tmp_path / "ck"))

@@ -385,9 +385,12 @@ class TestTcpFleet:
         # and re-run the job (here: via spawn fallback, since the lone
         # remote is still busy crunching the stale attempt)
         fw = "InfiniTime"
-        reference = run_campaign(fw, budget=800, seed=1)
+        # heartbeats are not the only liveness signal: checkpoint syncs
+        # count too, so the job checkpoints only at its end and must run
+        # well past the heartbeat timeout below (12000 execs take ~3 s)
+        reference = run_campaign(fw, budget=12000, seed=1)
         job = CampaignJob(job_id=fw, config=CampaignConfig(
-            fw, budget=800, seed=1))
+            fw, budget=12000, seed=1, checkpoint_every=12000))
         transport = TcpJsonlTransport(spawn_fallback=True)
         # the timeout must be long enough for a replacement attempt to
         # boot while the stale client still burns CPU, and the drop rule
